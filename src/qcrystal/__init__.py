@@ -8,7 +8,8 @@ checks the resulting combinatorics against independent character oracles
 operators on the group algebra of the weight lattice).  A rank-one
 quantized module over Z[q, q^-1] with exact divided-power actions serves
 as a brute-force crosscheck.  Everything is exact: Laurent polynomials
-with int coefficients and Fraction path coordinates, no floats anywhere.
+with int coefficients and crystal paths as int steps over one common
+denominator per crystal, no floats anywhere.
 """
 
 from .character import (FormalCharacter, apply_demazure_word, char_of,

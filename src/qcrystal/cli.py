@@ -109,6 +109,8 @@ def parse_args(argv):
             parser.error("rank-one highest weight must be nonnegative")
     if ns.command == "demazure" and word is None:
         parser.error("demazure requires --word")
+    if ns.max_elements <= 0:
+        parser.error(f"--max-elements must be positive, got {ns.max_elements}")
     if ns.command in ("crystal", "demazure", "character", "verify"):
         if any(c < 0 for c in ns.weight):
             parser.error(f"--weight must be dominant (all coordinates >= 0), got {ns.weight}")
@@ -353,7 +355,11 @@ def main(argv=None):
     spec = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         if spec.command == "rank-one":
-            data = emit_rank_one(spec.weight[0])
+            lam = spec.weight[0]
+            if lam + 1 > spec.max_elements:
+                raise ResourceCapError(f"V({lam}) has {lam + 1} basis elements, "
+                                       f"above the cap of {spec.max_elements}")
+            data = emit_rank_one(lam)
         elif spec.command == "verify":
             rows, ok = run_verify(spec)
             data = _verify_output(spec, rows, ok)

@@ -2,27 +2,35 @@
 
 An element of B(lambda) is realized as a piecewise-linear path from the
 origin, kept in a canonical reparametrization-free form: the tuple of
-displacement vectors of its maximal straight runs, with exact Fraction
-coordinates.  The lowering operator cuts the path at the last time the
-i-height <h_i, path(t)> reaches its minimum m and at the first later time
-it reaches m + 1, reflects the middle piece by s_i, and leaves the rest
-alone; the raising operator is its conjugate under path reversal.  Crystal
-data read off the height function:
+displacement vectors of its maximal straight runs.  The lowering operator
+cuts the path at the last time the i-height <h_i, path(t)> reaches its
+minimum m and at the first later time it reaches m + 1, reflects the middle
+piece by s_i, and leaves the rest alone; the raising operator is its
+conjugate under path reversal.  Crystal data read off the height function:
 
     eps_i = -min(height),   phi_i = height(1) - min(height).
 
 Starting from the straight path to a dominant lambda, the closure under the
-lowering operators is a model of the crystal B(lambda); minima of the height
-function then stay integral, which the code checks as it goes.  Sizes,
-characters and the rank-one chain are certified against independent oracles
-in the test suite rather than trusted.
+lowering operators is a model of the crystal B(lambda).  Its paths are
+Littelmann's LS paths of shape lambda, whose breakpoints are rationals with
+denominators dividing the pairings <lambda, beta^vee> over the positive
+roots beta (Littelmann, Invent. Math. 116 (1994)).  A crystal therefore
+stores its paths as int step tuples scaled by one common denominator D,
+the lcm of those pairings, and every operator works in exact int
+arithmetic on that grid.  The kernel checks the bound instead of trusting
+it: a height minimum off the grid, or a split that leaves the grid, raises
+ValueError.  The public LSPath keeps exact Fraction coordinates and is
+scaled onto the grid of its own shape for each operator call.  Sizes,
+characters and the rank-one chain are certified against independent
+oracles in the test suite rather than trusted.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .character import weyl_dimension
-from .root_data import is_dominant, simple_root
+from .root_data import dominant_representative, is_dominant, positive_roots, simple_root
 
 DEFAULT_MAX_ELEMENTS = 200_000
 
@@ -33,22 +41,26 @@ class ResourceCapError(RuntimeError):
 
 def _positive_parallel(d, e):
     k = next(j for j, x in enumerate(d) if x)
-    if e[k] == 0 or (e[k] > 0) != (d[k] > 0):
+    dk, ek = d[k], e[k]
+    if ek == 0 or (ek > 0) != (dk > 0):
         return False
-    c = Fraction(e[k]) / d[k]
-    return all(ei == c * di for di, ei in zip(d, e))
+    return all(ei * dk == di * ek for di, ei in zip(d, e))
+
+
+def _append_step(out, step):
+    """Append a nonzero step, merged into its predecessor when positively parallel."""
+    if out and _positive_parallel(out[-1], step):
+        out[-1] = tuple(a + b for a, b in zip(out[-1], step))
+    else:
+        out.append(step)
 
 
 def _canonical_steps(steps):
-    out: list[tuple[Fraction, ...]] = []
+    """Drop zero steps and merge positively parallel neighbours."""
+    out: list[tuple] = []
     for step in steps:
-        step = tuple(Fraction(x) for x in step)
-        if all(x == 0 for x in step):
-            continue
-        if out and _positive_parallel(out[-1], step):
-            out[-1] = tuple(a + b for a, b in zip(out[-1], step))
-        else:
-            out.append(step)
+        if any(step):
+            _append_step(out, step)
     return tuple(out)
 
 
@@ -59,7 +71,8 @@ class LSPath:
     steps: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", _canonical_steps(self.steps))
+        steps = (tuple(Fraction(x) for x in step) for step in self.steps)
+        object.__setattr__(self, "steps", _canonical_steps(steps))
 
     def endpoint(self):
         if not self.steps:
@@ -93,11 +106,39 @@ def straight_path(datum, lam):
     return LSPath((lam,))
 
 
-def _heights(steps, i0):
-    h = [Fraction(0)]
+# -- the integer kernel ---------------------------------------------------
+#
+# Steps are int tuples equal to D times the true displacements, for the
+# crystal's common denominator D; heights are scaled by D as well.
+
+
+def _denominator(datum, lam):
+    """lcm of the nonzero <lam, beta^vee> over the positive roots beta (1 if none).
+
+    For beta = sum_i c_i alpha_i, beta^vee = sum_i (c_i d_i / d_beta) h_i
+    with d_beta = (beta, beta) / 2 in the symmetrizer scale d of the datum.
+    """
+    a, d, n = datum.cartan, datum.sym, datum.rank
+    denom = 1
+    for root in positive_roots(datum):
+        d_beta = sum(root[i] * root[j] * d[i] * a[i][j]
+                     for i in range(n) for j in range(n)) // 2
+        pairing = sum(lam[i] * root[i] * d[i] for i in range(n)) // d_beta
+        if pairing:
+            denom = lcm(denom, pairing)
+    return denom
+
+
+def _heights(steps, i0, denom):
+    """Scaled i-heights at the breakpoints, and their minimum, checked to be integral."""
+    h = [0]
     for step in steps:
         h.append(h[-1] + step[i0])
-    return h
+    m = min(h)
+    if m % denom:
+        raise ValueError(f"non-integral height minimum {Fraction(m, denom)}: "
+                         "not a crystal path")
+    return h, m
 
 
 def _reflect_step(alpha, i0, step):
@@ -107,42 +148,107 @@ def _reflect_step(alpha, i0, step):
     return tuple(x - c * a for x, a in zip(step, alpha))
 
 
-def _lowered(datum, i, steps):
-    """Core lowering operator on a canonical step tuple; None at string bottom."""
-    i0 = i - 1
-    h = _heights(steps, i0)
-    m = min(h)
-    if m.denominator != 1:
-        raise ValueError(f"non-integral height minimum {m}: not a crystal path")
-    if h[-1] - m < 1:
+def _split_head(step, num, den, denom):
+    """The first num/den of a scaled step; raises unless it stays on the 1/denom grid."""
+    head = []
+    for c in step:
+        q, r = divmod(c * num, den)
+        if r:
+            raise ValueError(f"splitting step {step} at {num}/{den} leaves the "
+                             f"1/{denom} grid: denominator bound violated")
+        head.append(q)
+    return tuple(head)
+
+
+def _lowered(alpha, i0, denom, steps, h, m):
+    """Lowering on canonical scaled steps with i-heights h of minimum m.
+
+    Returns the canonical lowered steps, or None at the string bottom.
+    The reflected piece and the two pieces around it are canonical on
+    their own, so runs can only merge where they meet.
+    """
+    top = m + denom
+    if h[-1] < top:
         return None
-    j0 = max(j for j, v in enumerate(h) if v == m)
-    jc = next(j for j in range(j0 + 1, len(h)) if h[j] >= m + 1)
-    alpha = simple_root(datum, i)
-    new = list(steps[:j0])
-    if h[jc] == m + 1:
-        new.extend(_reflect_step(alpha, i0, s) for s in steps[j0:jc])
-        new.extend(steps[jc:])
+    j0 = len(h) - 1 - h[::-1].index(m)
+    jc = j0 + 1
+    while h[jc] < top:
+        jc += 1
+    if h[jc] == top:
+        middle = [_reflect_step(alpha, i0, s) for s in steps[j0:jc]]
     else:
         # the ascent crosses m+1 inside segment jc-1: split it there
-        x = (m + 1 - h[jc - 1]) / (h[jc] - h[jc - 1])
-        head = tuple(c * x for c in steps[jc - 1])
-        rest = tuple(c * (1 - x) for c in steps[jc - 1])
-        new.extend(_reflect_step(alpha, i0, s) for s in steps[j0:jc - 1])
-        new.append(_reflect_step(alpha, i0, head))
-        new.append(rest)
-        new.extend(steps[jc:])
-    return _canonical_steps(new)
+        cut = steps[jc - 1]
+        head = _split_head(cut, top - h[jc - 1], h[jc] - h[jc - 1], denom)
+        middle = [_reflect_step(alpha, i0, s) for s in steps[j0:jc - 1]]
+        middle += [_reflect_step(alpha, i0, head), tuple(c - x for c, x in zip(cut, head))]
+    new = list(steps[:j0])
+    _append_step(new, middle[0])
+    new.extend(middle[1:])
+    if jc < len(steps):
+        _append_step(new, steps[jc])
+        new.extend(steps[jc + 1:])
+    return tuple(new)
 
 
 def _reversed_steps(steps):
     return tuple(tuple(-x for x in s) for s in reversed(steps))
 
 
+def _lower(alpha, i0, denom, steps):
+    return _lowered(alpha, i0, denom, steps, *_heights(steps, i0, denom))
+
+
+def _raise(alpha, i0, denom, steps):
+    """Raising as lowering conjugated by path reversal t -> 1 - t."""
+    low = _lower(alpha, i0, denom, _reversed_steps(steps))
+    return None if low is None else _reversed_steps(low)
+
+
+def _string_data(denom, h, m):
+    """(weight_i, eps_i, phi_i) from scaled i-heights h of minimum m."""
+    end, rest = divmod(h[-1], denom)
+    if rest:
+        raise ValueError(f"non-integral endpoint height {Fraction(h[-1], denom)}: "
+                         "not a crystal path")
+    eps = -m // denom
+    return end, eps, end + eps
+
+
+# -- public operators on LSPath -------------------------------------------
+
+
+def _on_grid(datum, path):
+    """(denominator, scaled steps) of a path, on the grid of its shape.
+
+    The shape lambda is the sum of the dominant representatives of the
+    steps, since each step of an LS path is a positive multiple of a Weyl
+    conjugate of lambda.
+    """
+    lam = [Fraction(0)] * datum.rank
+    for step in path.steps:
+        lam = [a + b for a, b in zip(lam, dominant_representative(datum, step))]
+    if any(x.denominator != 1 for x in lam):
+        raise ValueError(f"path shape {tuple(map(str, lam))} is not an integral weight")
+    denom = _denominator(datum, tuple(int(x) for x in lam))
+    scaled = []
+    for step in path.steps:
+        coords = tuple(x * denom for x in step)
+        if any(x.denominator != 1 for x in coords):
+            raise ValueError(f"path {path} has a step off the 1/{denom} grid of its shape")
+        scaled.append(tuple(int(x) for x in coords))
+    return denom, tuple(scaled)
+
+
+def _from_grid(denom, steps):
+    return LSPath(tuple(tuple(Fraction(x, denom) for x in s) for s in steps))
+
+
 def f_tilde(datum, i, path):
     """Lowering operator: weight drops by alpha_i, or None if phi_i = 0."""
-    steps = _lowered(datum, i, path.steps)
-    return None if steps is None else LSPath(steps)
+    denom, steps = _on_grid(datum, path)
+    steps = _lower(simple_root(datum, i), i - 1, denom, steps)
+    return None if steps is None else _from_grid(denom, steps)
 
 
 def e_tilde(datum, i, path):
@@ -151,24 +257,26 @@ def e_tilde(datum, i, path):
     Computed by conjugating the lowering operator with path reversal
     t -> 1 - t, which swaps the roles of eps and phi.
     """
-    steps = _lowered(datum, i, _reversed_steps(path.steps))
-    return None if steps is None else LSPath(_reversed_steps(steps))
+    denom, steps = _on_grid(datum, path)
+    steps = _raise(simple_root(datum, i), i - 1, denom, steps)
+    return None if steps is None else _from_grid(denom, steps)
 
 
 def eps_phi(datum, i, path):
     """(eps_i, phi_i) read off the i-height function of the path."""
-    h = _heights(path.steps, i - 1)
-    m = min(h)
-    if m.denominator != 1 or h[-1].denominator != 1:
-        raise ValueError("non-integral heights: not a crystal path")
-    return int(-m), int(h[-1] - m)
+    denom, steps = _on_grid(datum, path)
+    _, eps, phi = _string_data(denom, *_heights(steps, i - 1, denom))
+    return eps, phi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrystalElement:
-    """One crystal vertex with its cached weight and string data."""
+    """One crystal vertex with its cached weight and string data.
 
-    path: LSPath
+    ``steps`` is its path, scaled by the denominator of its crystal.
+    """
+
+    steps: tuple[tuple[int, ...], ...]
     weight: tuple[int, ...]
     eps: tuple[int, ...]
     phi: tuple[int, ...]
@@ -179,14 +287,17 @@ class CrystalGraph:
 
     Element 0 is the highest-weight element.  Ids follow breadth-first
     level order (level = height of lambda minus the weight), ties broken
-    by the canonical path encoding, so ids are stable across runs.
+    by the canonical path encoding, so ids are stable across runs.  Paths
+    are stored as int steps over ``denominator``, the lcm of the pairings
+    <lambda, beta^vee>.
     """
 
-    def __init__(self, datum, highest_weight, elements, edges):
+    def __init__(self, datum, highest_weight, elements, edges, denominator):
         self.datum = datum
         self.highest_weight = tuple(highest_weight)
         self.elements = elements
         self.edges = edges
+        self.denominator = denominator
         self._parents = {(child, i): b for (b, i), child in edges.items()}
 
     def __len__(self):
@@ -217,7 +328,8 @@ class CrystalGraph:
         return self.elements[b].weight
 
     def path(self, b):
-        return self.elements[b].path
+        """The path of element b as an LSPath with exact Fraction steps."""
+        return _from_grid(self.denominator, self.elements[b].steps)
 
     def all_ids(self):
         return range(len(self.elements))
@@ -227,7 +339,9 @@ def generate_crystal(datum, lam, max_elements=DEFAULT_MAX_ELEMENTS):
     """Breadth-first closure of the straight path under all f_tilde.
 
     Refuses up front when the Weyl dimension exceeds ``max_elements``
-    (and again during generation, in case the two ever disagree).
+    (and again during generation, in case the two ever disagree).  Each
+    element's weight, eps and phi are read off the same height functions
+    that its lowering uses.
     """
     lam = tuple(lam)
     projected = weyl_dimension(datum, lam)
@@ -235,41 +349,40 @@ def generate_crystal(datum, lam, max_elements=DEFAULT_MAX_ELEMENTS):
         raise ResourceCapError(
             f"B({lam}) for {datum.name} has {projected} elements, "
             f"above the cap of {max_elements}")
-    top = straight_path(datum, lam)
+    denom, top = _on_grid(datum, straight_path(datum, lam))
+    roots = [(i, i - 1, simple_root(datum, i)) for i in datum.indices()]
     paths = [top]
-    ids = {top.steps: 0}
+    ids = {top: 0}
+    elements = []
     edges: dict[tuple[int, int], int] = {}
     frontier = [0]
     while frontier:
-        pending: dict[tuple, LSPath] = {}
+        pending = set()
         hits: list[tuple[int, int, tuple]] = []
         for b in frontier:
-            for i in datum.indices():
-                child = f_tilde(datum, i, paths[b])
+            steps = paths[b]
+            data = []
+            for i, i0, alpha in roots:
+                h, m = _heights(steps, i0, denom)
+                data.append(_string_data(denom, h, m))
+                child = _lowered(alpha, i0, denom, steps, h, m)
                 if child is None:
                     continue
-                hits.append((b, i, child.steps))
-                if child.steps not in ids:
-                    pending.setdefault(child.steps, child)
+                hits.append((b, i, child))
+                if child not in ids:
+                    pending.add(child)
+            weight, eps, phi = zip(*data)
+            elements.append(CrystalElement(steps, weight, eps, phi))
         frontier = []
         for key in sorted(pending):
             ids[key] = len(paths)
-            paths.append(pending[key])
+            paths.append(key)
             frontier.append(ids[key])
         if len(paths) > max_elements:
             raise ResourceCapError(f"crystal generation passed {max_elements} elements")
         for b, i, key in hits:
             edges[(b, i)] = ids[key]
-
-    elements = []
-    for p in paths:
-        pairs = [eps_phi(datum, i, p) for i in datum.indices()]
-        elements.append(CrystalElement(
-            path=p,
-            weight=p.weight(rank=datum.rank),
-            eps=tuple(e for e, _ in pairs),
-            phi=tuple(f for _, f in pairs)))
-    return CrystalGraph(datum, lam, elements, edges)
+    return CrystalGraph(datum, lam, elements, edges, denom)
 
 
 def verify_normal(graph):
@@ -294,12 +407,13 @@ def verify_normal(graph):
                 return False, ("edge map vs phi", b, i)
             if (graph.e(b, i) is not None) != (graph.eps(b, i) > 0):
                 return False, ("parent map vs eps", b, i)
+    elements, denom = graph.elements, graph.denominator
     for (b, i), child in graph.edges.items():
         if graph.eps(child, i) != graph.eps(b, i) + 1:
             return False, ("eps along edge", b, i, child)
         if graph.phi(child, i) != graph.phi(b, i) - 1:
             return False, ("phi along edge", b, i, child)
-        back = e_tilde(datum, i, graph.path(child))
-        if back is None or back.steps != graph.path(b).steps:
+        back = _raise(simple_root(datum, i), i - 1, denom, elements[child].steps)
+        if back != elements[b].steps:
             return False, ("raising does not invert lowering", b, i, child)
     return True, None

@@ -37,6 +37,9 @@ def test_parse_args_usage_errors(capsys):
         ["demazure", "--type", "A2", "--weight", "1,1", "--word", "3"],  # bad letter
         ["crystal", "--type", "A2", "--weight", "1,x"],        # not integers
         ["crystal", "--type", "A2", "--weight=-1,0"],          # not dominant
+        ["crystal", "--type", "A2", "--weight", "1,1", "--max-elements", "0"],
+        ["crystal", "--type", "A2", "--weight", "1,1", "--max-elements", "-5"],
+        ["rank-one", "--weight", "3", "--max-elements", "0"],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as err:
@@ -164,6 +167,13 @@ def test_resource_cap_exit_code():
                      "--max-elements", "5")
     assert result.returncode == EXIT_RESOURCE
     assert b"cap" in result.stderr
+
+
+def test_rank_one_resource_cap(capsys):
+    assert main(["rank-one", "--weight", "5", "--max-elements", "5"]) == EXIT_RESOURCE
+    assert "above the cap of 5" in capsys.readouterr().err
+    assert main(["rank-one", "--weight", "4", "--max-elements", "5"]) == EXIT_OK
+    assert "crystal chain: 0 -> 1 -> 2 -> 3 -> 4" in capsys.readouterr().out
 
 
 def test_write_failure_exit_code(tmp_path):

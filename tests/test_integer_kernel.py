@@ -1,0 +1,94 @@
+"""Differential tests: the int path kernel against the Fraction reference.
+
+``fraction_kernel.py`` keeps the Fraction-coordinate kernel the library
+used before its paths moved to int steps over one common denominator per
+crystal.  Whole crystals must agree element by element: ids, edges,
+weights, eps, phi and the paths themselves.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import fraction_kernel as ref
+from qcrystal import crystal
+from qcrystal.crystal import LSPath, e_tilde, eps_phi, f_tilde, generate_crystal
+from qcrystal.root_data import cartan_datum, simple_root
+
+# the acceptance crystals, one weight with split steps for each remaining
+# type, and two larger crystals with denominators 120 and 60
+DIFF_CASES = [("A1", (4,)), ("A2", (1, 0)), ("A2", (1, 1)), ("A2", (2, 1)),
+              ("B2", (1, 0)), ("B2", (1, 1)), ("A3", (1, 0, 1)), ("G2", (1, 0)),
+              ("A4", (1, 0, 0, 1)), ("B3", (1, 0, 1)), ("C3", (1, 0, 1)),
+              ("D4", (0, 1, 0, 0)), ("G2", (2, 2)), ("D4", (1, 1, 1, 1))]
+
+half = Fraction(1, 2)
+
+
+def assert_same_crystal(graph):
+    """Diff a generated crystal against the Fraction reference, element by element."""
+    datum = graph.datum
+    paths, edges = ref.reference_crystal(datum, graph.highest_weight)
+    assert len(graph) == len(paths)
+    assert graph.edges == edges
+    for b, steps in enumerate(paths):
+        assert graph.path(b).steps == steps, b
+        assert graph.weight(b) == ref.weight(steps, datum.rank), b
+        for i in datum.indices():
+            assert (graph.eps(b, i), graph.phi(b, i)) == ref.eps_phi(datum, i, steps), (b, i)
+
+
+@pytest.mark.parametrize("name,lam", DIFF_CASES)
+def test_crystal_matches_fraction_reference(name, lam, graph_of):
+    assert_same_crystal(graph_of(name, lam))
+
+
+def test_denominator_is_lcm_of_coroot_pairings():
+    # <lambda, beta^vee> over the positive roots, worked by hand
+    assert crystal._denominator(cartan_datum("A2"), (1, 1)) == 2          # 1, 1, 2
+    assert crystal._denominator(cartan_datum("A2"), (0, 0)) == 1
+    assert crystal._denominator(cartan_datum("B2"), (1, 1)) == 6          # 1, 1, 2, 3
+    assert crystal._denominator(cartan_datum("G2"), (1, 0)) == 2          # 1, 1, 2, 1, 1
+    assert generate_crystal(cartan_datum("G2"), (2, 2)).denominator == 120
+
+
+def test_too_small_denominator_raises():
+    a2 = cartan_datum("A2")
+    alpha2 = simple_root(a2, 2)
+    # f_2 f_1 of the A2 (1, 1) top path splits (-1, 2) in half
+    assert crystal._lower(alpha2, 1, 2, ((-2, 4),)) == ((1, -2), (-1, 2))
+    with pytest.raises(ValueError, match="grid"):
+        crystal._lower(alpha2, 1, 1, ((-1, 2),))
+    # a height minimum off the grid is refused too
+    with pytest.raises(ValueError, match="non-integral height minimum"):
+        crystal._heights(((-1, 1),), 0, 2)
+
+
+def test_generation_with_too_small_denominator_raises(monkeypatch):
+    monkeypatch.setattr(crystal, "_denominator", lambda datum, lam: 1)
+    with pytest.raises(ValueError, match="grid"):
+        generate_crystal(cartan_datum("A2"), (1, 1))
+
+
+HAND_BUILT = [
+    # A2 (1, 1): f_2 f_1 of the top path, weight (0, 0)
+    ("A2", LSPath(((half, -1), (-half, 1)))),
+    # B2 (1, 1): a path of weight (0, 1) whose f_2 splits into thirds
+    ("B2", LSPath(((-1, 3 * half), (1, -half)))),
+]
+
+
+@pytest.mark.parametrize("name,path", HAND_BUILT)
+def test_public_operators_on_half_steps(name, path):
+    datum = cartan_datum(name)
+    for i in datum.indices():
+        low, high = f_tilde(datum, i, path), e_tilde(datum, i, path)
+        assert (low and low.steps) == ref.lowered(datum, i, path.steps)
+        assert (high and high.steps) == ref.raised(datum, i, path.steps)
+        assert eps_phi(datum, i, path) == ref.eps_phi(datum, i, path.steps)
+
+
+def test_public_operators_reject_off_grid_paths():
+    # shape (1,) has denominator 1, so a half step is no crystal path
+    with pytest.raises(ValueError, match="grid"):
+        eps_phi(cartan_datum("A1"), 1, LSPath(((half,), (-half,))))
