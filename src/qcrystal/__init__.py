@@ -13,14 +13,16 @@ denominator per crystal, no floats anywhere.
 """
 
 from .character import (FormalCharacter, apply_demazure_word, char_of,
-                        demazure_operator, verify_demazure_character,
-                        weyl_character, weyl_dimension)
+                        demazure_characters, demazure_operator,
+                        verify_demazure_character, weyl_character,
+                        weyl_dimension)
 from .crystal import (DEFAULT_MAX_ELEMENTS, CrystalElement, CrystalGraph,
                       LSPath, ResourceCapError, e_tilde, eps_phi, f_tilde,
                       generate_crystal, straight_path, verify_normal)
 from .demazure import (DemazureCrystal, IString, demazure_crystal,
-                       extremal_element, extremal_weights, filtration_layers,
-                       i_strings, quotient_strings, reduced_word_independence,
+                       demazure_subsets, extremal_element, extremal_weights,
+                       filtration_layers, i_strings, quotient_strings,
+                       reduced_word_independence, string_index,
                        verify_filtration_structure, verify_string_property)
 from .qarith import (ExactDivisionError, LaurentPoly, bar, eval_at_one,
                      qbinom, qfact, qint)
@@ -29,7 +31,7 @@ from .rank_one import (RankOneModule, act_K, act_divided_f, act_e, act_f,
                        verify_sl2_relation)
 from .root_data import (CartanDatum, all_reduced_words, apply_word,
                         canonical_word, cartan_datum, dominance_leq,
-                        is_dominant, is_reduced, longest_word,
+                        is_dominant, is_reduced, left_descents, longest_word,
                         positive_roots, reflect, rho, simple_root,
                         supported_types, weyl_group, weyl_orbit, weyl_order)
 

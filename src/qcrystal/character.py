@@ -16,7 +16,8 @@ import itertools
 from fractions import Fraction
 
 from .root_data import (dominant_representative, is_dominant, positive_roots,
-                        root_coords, root_weight_coords, simple_root, weyl_orbit)
+                        root_coords, root_weight_coords, simple_root, weyl_group,
+                        weyl_orbit)
 
 
 class FormalCharacter:
@@ -129,6 +130,21 @@ def apply_demazure_word(datum, word, chi):
     for i in reversed(word):
         chi = demazure_operator(datum, i, chi)
     return chi
+
+
+def demazure_characters(datum, lam):
+    """D_w(e^lambda) for every w, memoized along the weak order.
+
+    Keys are canonical words in ``weyl_group`` order.  The first letter i of
+    a canonical word w is a left descent and w[1:] is the canonical word of
+    s_i w, so D_w(e^lambda) = D_i(D_{s_i w}(e^lambda)) equals
+    ``apply_demazure_word(datum, w, e^lambda)``.
+    """
+    group = weyl_group(datum)
+    chars = {group[0]: FormalCharacter.monomial(lam)}
+    for w in group[1:]:
+        chars[w] = demazure_operator(datum, w[0], chars[w[1:]])
+    return chars
 
 
 def verify_demazure_character(graph, lam, word):

@@ -14,15 +14,14 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .character import (FormalCharacter, apply_demazure_word, char_of,
-                        verify_demazure_character, weyl_character,
-                        weyl_dimension)
+from .character import char_of, demazure_characters, weyl_character, weyl_dimension
 from .crystal import DEFAULT_MAX_ELEMENTS, ResourceCapError, generate_crystal, verify_normal
-from .demazure import (demazure_crystal, reduced_word_independence,
-                       verify_filtration_structure, verify_string_property)
+from .demazure import (DemazureCrystal, demazure_crystal, demazure_subsets,
+                       string_index, verify_filtration_structure,
+                       verify_string_property)
 from .qarith import qint
 from .rank_one import RankOneModule, act_e, act_f, crystal_f_tilde, verify_sl2_relation
-from .root_data import cartan_datum, longest_word, weyl_group
+from .root_data import cartan_datum, longest_word
 
 log = logging.getLogger("qcrystal")
 
@@ -229,25 +228,39 @@ def emit_rank_one(lam):
 
 def _corrupt(dc):
     """Drop a mid-string member so the string property must fail."""
-    from .demazure import DemazureCrystal, i_strings
-
     for i in dc.graph.indices():
-        for s in i_strings(dc.graph, i):
+        for s in string_index(dc.graph, i)[0]:
             if s.length >= 1 and set(s.members) <= dc.members:
                 members = dc.members - {s.members[-1]}
                 return DemazureCrystal(dc.graph, dc.word, frozenset(members))
     raise RuntimeError("no string long enough to corrupt")
 
 
+def _first_failure(subsets, check, indices):
+    """(True, None), or (False, (w, witness)) for the first failing (w, i)."""
+    for w, dc in subsets.items():
+        for i in indices:
+            good, wit = check(dc, i)
+            if not good:
+                return False, (w, wit)
+    return True, None
+
+
 def run_verify(spec):
-    """Run the whole combinatorial suite; returns (report rows, ok)."""
+    """Run the whole combinatorial suite; returns (report rows, ok).
+
+    Every Demazure subset and every Demazure character comes from one
+    pass over the weak order (``demazure_subsets``, ``demazure_characters``).
+    ``--inject-failure`` corrupts B_{w0} for the string and filtration
+    checks only.
+    """
     datum = cartan_datum(spec.type_name)
     graph = generate_crystal(datum, spec.weight, max_elements=spec.max_elements)
-    group = weyl_group(datum)
-    subsets = {w: demazure_crystal(graph, w) for w in group}
+    subsets, independence = demazure_subsets(graph)
+    checked = dict(subsets)
     if spec.inject_failure:
         top_word = longest_word(datum)
-        subsets[top_word] = _corrupt(subsets[top_word])
+        checked[top_word] = _corrupt(checked[top_word])
         log.info("injected a corrupted subset for %s", top_word)
 
     rows = []
@@ -255,49 +268,25 @@ def run_verify(spec):
     ok, witness = verify_normal(graph)
     rows.append(("normal-crystal-relations", ok, witness))
 
-    ok, witness = True, None
-    for w, dc in subsets.items():
-        for i in datum.indices():
-            good, wit = verify_string_property(dc, i)
-            if not good:
-                ok, witness = False, (w, wit)
-                break
-        if not ok:
-            break
-    rows.append((f"string-property ({len(group)} words x {datum.rank} indices)", ok, witness))
+    ok, witness = _first_failure(checked, verify_string_property, datum.indices())
+    rows.append((f"string-property ({len(subsets)} words x {datum.rank} indices)", ok, witness))
 
-    ok, witness = True, None
-    for w, dc in subsets.items():
-        for i in datum.indices():
-            good, wit = verify_filtration_structure(dc, i)
-            if not good:
-                ok, witness = False, (w, wit)
-                break
-        if not ok:
-            break
+    ok, witness = _first_failure(checked, verify_filtration_structure, datum.indices())
     rows.append(("filtration-structure", ok, witness))
 
-    ok, witness = True, None
-    for w in group:
-        good, wit = reduced_word_independence(graph, w)
-        if not good:
-            ok, witness = False, (w, wit)
-            break
-    rows.append(("reduced-word-independence", ok, witness))
+    rows.append(("reduced-word-independence", independence is None, independence))
 
+    chars = demazure_characters(datum, spec.weight)
     ok, witness = True, None
-    for w in group:
-        good, wit = verify_demazure_character(graph, spec.weight, w)
-        if not good:
+    for w, dc in subsets.items():
+        if char_of(dc.members, graph) != chars[w]:
             ok, witness = False, (w, "character mismatch")
             break
     rows.append(("demazure-character-formula", ok, witness))
 
     freudenthal = weyl_character(datum, spec.weight)
     crystal_char = char_of(graph.all_ids(), graph)
-    demazure_char = apply_demazure_word(
-        datum, longest_word(datum), FormalCharacter.monomial(spec.weight))
-    ok = crystal_char == freudenthal == demazure_char
+    ok = crystal_char == freudenthal == chars[longest_word(datum)]
     rows.append(("weyl-character-agreement", ok, None if ok else "character mismatch"))
 
     dim = weyl_dimension(datum, spec.weight)

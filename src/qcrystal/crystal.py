@@ -299,6 +299,7 @@ class CrystalGraph:
         self.edges = edges
         self.denominator = denominator
         self._parents = {(child, i): b for (b, i), child in edges.items()}
+        self._string_index = {}  # i -> i-string index, filled by demazure.string_index
 
     def __len__(self):
         return len(self.elements)
@@ -394,26 +395,28 @@ def verify_normal(graph):
     source (all eps zero) is element 0 with the highest weight, and that
     an edge exists exactly where phi is positive.  Returns (ok, witness).
     """
-    datum = graph.datum
-    sources = [b for b in graph.all_ids()
-               if all(graph.eps(b, i) == 0 for i in graph.indices())]
-    if sources != [0] or graph.weight(0) != graph.highest_weight:
+    elements, edges, parents = graph.elements, graph.edges, graph._parents
+    sources = [b for b, el in enumerate(elements) if not any(el.eps)]
+    if sources != [0] or elements[0].weight != graph.highest_weight:
         return False, ("highest-weight element", sources)
-    for b in graph.all_ids():
-        for i in graph.indices():
-            if graph.weight(b)[i - 1] != graph.phi(b, i) - graph.eps(b, i):
+    for b, el in enumerate(elements):
+        for i, wt, eps, phi in zip(graph.indices(), el.weight, el.eps, el.phi):
+            if wt != phi - eps:
                 return False, ("weight vs phi-eps", b, i)
-            if (graph.f(b, i) is not None) != (graph.phi(b, i) > 0):
+            if ((b, i) in edges) != (phi > 0):
                 return False, ("edge map vs phi", b, i)
-            if (graph.e(b, i) is not None) != (graph.eps(b, i) > 0):
+            if ((b, i) in parents) != (eps > 0):
                 return False, ("parent map vs eps", b, i)
-    elements, denom = graph.elements, graph.denominator
-    for (b, i), child in graph.edges.items():
-        if graph.eps(child, i) != graph.eps(b, i) + 1:
+    alphas = [simple_root(graph.datum, i) for i in graph.indices()]
+    denom = graph.denominator
+    # raising is lowering conjugated by reversal: reverse each path once
+    reversed_steps = [_reversed_steps(el.steps) for el in elements]
+    for (b, i), child in edges.items():
+        i0, top, low = i - 1, elements[b], elements[child]
+        if low.eps[i0] != top.eps[i0] + 1:
             return False, ("eps along edge", b, i, child)
-        if graph.phi(child, i) != graph.phi(b, i) - 1:
+        if low.phi[i0] != top.phi[i0] - 1:
             return False, ("phi along edge", b, i, child)
-        back = _raise(simple_root(datum, i), i - 1, denom, elements[child].steps)
-        if back != elements[b].steps:
+        if _lower(alphas[i0], i0, denom, reversed_steps[child]) != reversed_steps[b]:
             return False, ("raising does not invert lowering", b, i, child)
     return True, None

@@ -10,12 +10,26 @@ lambda = (1, 1):
     word (1, 2)  -> f1-saturation of {b0, f2 b0}
 
 so (1, 2) first saturates letter 2, then letter 1.
+
+``demazure_crystal`` follows one word.  ``demazure_subsets`` builds every
+B_w(lambda) in one pass over the weak order, by increasing length: B_w is
+the f_tilde_i closure of B_{s_i w} for a left descent i, and it is computed
+for every left descent of w.  Two descents that disagree are reported.
+When none do, by induction on length every reduced word of every w cuts
+the same subset, so reduced-word independence is checked exactly, for
+every type, without enumerating reduced words.
+
+The i-strings of a crystal are computed once per (graph, i) by
+``string_index`` and kept with the graph, together with the map from each
+element to its string; the string and filtration checks then cost one
+walk over the subset's members.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .root_data import (all_reduced_words, canonical_word, element_key,
-                        is_reduced, reflect)
+                        is_reduced, left_descents, reflect, weyl_group)
 
 
 @dataclass(frozen=True)
@@ -49,6 +63,30 @@ def demazure_crystal(graph, word):
     for i in reversed(word):
         members = _saturate(graph, members, i)
     return DemazureCrystal(graph, word, frozenset(members))
+
+
+def demazure_subsets(graph):
+    """Every B_w(lambda) in one pass over the weak order, by increasing length.
+
+    Returns (subsets, witness).  ``subsets`` maps each canonical word w (in
+    ``weyl_group`` order) to its DemazureCrystal, built as the f_tilde_i
+    closure of B_{s_i w} for the first letter i of w, which is the subset
+    ``demazure_crystal(graph, w)`` cuts.  The closure is also taken for
+    every other left descent j of w; ``witness`` is None when all of them
+    agree, else ``(w, ("left descents disagree", i, j, b))`` for the first
+    such w, with b the smallest element id in one set but not the other.
+    """
+    members = {(): frozenset({0})}
+    witness = None
+    for w in weyl_group(graph.datum)[1:]:
+        found = {i: frozenset(_saturate(graph, members[v], i))
+                 for i, v in left_descents(graph.datum, w).items()}
+        first = found[w[0]]
+        for j, other in found.items():
+            if witness is None and other != first:
+                witness = (w, ("left descents disagree", w[0], j, min(first ^ other)))
+        members[w] = first
+    return {w: DemazureCrystal(graph, w, m) for w, m in members.items()}, witness
 
 
 def extremal_weights(datum, lam, word):
@@ -114,7 +152,11 @@ class IString:
 
 
 def i_strings(graph, i):
-    """Partition of the crystal into i-strings, in order of their tops."""
+    """Partition of the crystal into i-strings, in order of their tops.
+
+    Raises RuntimeError when the strings' lengths do not add up to the size
+    of the crystal: then the i-edges are not those of a normal crystal.
+    """
     strings = []
     for b in graph.all_ids():
         if graph.eps(b, i) != 0:
@@ -125,17 +167,44 @@ def i_strings(graph, i):
             chain.append(child)
             child = graph.f(child, i)
         strings.append(IString(i=i, top=b, members=tuple(chain)))
-    assert sum(len(s.members) for s in strings) == len(graph)
+    covered = sum(len(s.members) for s in strings)
+    if covered != len(graph):
+        raise RuntimeError(f"the {i}-strings cover {covered} element slots of "
+                           f"{len(graph)}: the {i}-edges do not form a normal crystal")
     return strings
+
+
+def string_index(graph, i):
+    """(strings, where): ``i_strings(graph, i)`` and each element's string number.
+
+    Computed once per (graph, i) and kept on the graph.
+    """
+    index = graph._string_index.get(i)
+    if index is None:
+        strings = i_strings(graph, i)
+        where = [0] * len(graph)
+        for n, s in enumerate(strings):
+            for b in s.members:
+                where[b] = n
+        index = graph._string_index[i] = (strings, where)
+    return index
+
+
+def _partial_strings(dc, i):
+    """(string, sorted hit) for each i-string dc meets but does not contain, in top order."""
+    strings, where = string_index(dc.graph, i)
+    members = dc.members
+    count = Counter(map(where.__getitem__, members))
+    for n in sorted(n for n, c in count.items() if c < len(strings[n].members)):
+        s = strings[n]
+        yield s, tuple(sorted(members.intersection(s.members)))
 
 
 def verify_string_property(dc, i):
     """Each i-string meets the subset in itself, its top alone, or nothing."""
-    for s in i_strings(dc.graph, i):
-        hit = dc.members.intersection(s.members)
-        if hit == set(s.members) or not hit or hit == {s.top}:
-            continue
-        return False, (i, s.top, tuple(sorted(hit)))
+    for s, hit in _partial_strings(dc, i):
+        if hit != (s.top,):
+            return False, (i, s.top, hit)
     return True, None
 
 
@@ -156,17 +225,14 @@ def verify_filtration_structure(dc, i):
     dominant line rather than a truncated string.
     """
     graph = dc.graph
-    for s in i_strings(graph, i):
-        hit = dc.members.intersection(s.members)
-        if not hit or hit == set(s.members):
-            continue
+    for s, hit in _partial_strings(dc, i):
         if len(hit) == 1:
             (b,) = hit
             l = graph.eps(b, i) + graph.phi(b, i)
             if b == s.top and graph.weight(b)[i - 1] == l and l > 0:
                 continue
             return False, ("bad singleton layer", i, b)
-        return False, ("layer is a partial string", i, s.top, tuple(sorted(hit)))
+        return False, ("layer is a partial string", i, s.top, hit)
     return True, None
 
 
@@ -190,7 +256,7 @@ def quotient_strings(big, small, i):
         raise ValueError(
             f"words {big.word} / {small.word} are not a covering pair for letter {i}")
     diff = big.members - small.members
-    for s in i_strings(big.graph, i):
+    for s in string_index(big.graph, i)[0]:
         hit = diff.intersection(s.members)
         if not hit:
             continue

@@ -220,6 +220,22 @@ def length(datum, word):
     return len(canonical_word(datum, word))
 
 
+def left_descents(datum, word):
+    """{i: canonical word of s_i w} over the left descents i of w, in index order.
+
+    A left descent of w is an index i with length(s_i w) < length(w).
+    """
+    table = _element_table(datum)
+    key = element_key(datum, word)
+    n = len(table[key])
+    out = {}
+    for i in datum.indices():
+        down = table[reflect(datum, i, key)]
+        if len(down) < n:
+            out[i] = down
+    return out
+
+
 def all_reduced_words(datum, word):
     """Every reduced word of the element of ``word``, sorted.
 

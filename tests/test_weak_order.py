@@ -1,0 +1,179 @@
+"""The weak-order dynamic program behind ``verify``, against per-word references.
+
+``demazure_subsets`` and ``demazure_characters`` build every B_w(lambda)
+and every D_w(e^lambda) in one pass over the weak order; the string checks
+walk a per-graph string index.  Each is compared here with the single-word
+or intersection-loop form it replaced in ``run_verify``.
+"""
+
+import dataclasses
+import json
+import logging
+
+import pytest
+
+import qcrystal.demazure as demazure_module
+from qcrystal import cli
+from qcrystal.character import (FormalCharacter, apply_demazure_word,
+                                demazure_characters)
+from qcrystal.crystal import CrystalGraph
+from qcrystal.demazure import (demazure_crystal, demazure_subsets, i_strings,
+                               reduced_word_independence, string_index,
+                               verify_filtration_structure,
+                               verify_string_property)
+from qcrystal.root_data import cartan_datum, left_descents, weyl_group, weyl_order
+from string_reference import filtration_structure, string_property
+
+ACCEPTANCE = [("A1", (4,)), ("A2", (1, 0)), ("A2", (1, 1)), ("A2", (2, 1)),
+              ("B2", (1, 0)), ("B2", (1, 1)), ("A3", (1, 0, 1)), ("G2", (1, 0))]
+SMALL_W = ACCEPTANCE + [("B3", (1, 0, 0)), ("C3", (0, 1, 0)), ("G2", (1, 1))]
+
+
+def _swapped(graph, a, b):
+    """A fresh graph whose edges a and b exchange their targets."""
+    edges = dict(graph.edges)
+    edges[a], edges[b] = edges[b], edges[a]
+    return CrystalGraph(graph.datum, graph.highest_weight, graph.elements,
+                        edges, graph.denominator)
+
+
+def _tampered_a2(graph_of):
+    # the 1-strings 0 -> 1 and 2 -> 3 -> 5 become 0 -> 3 -> 5 and 2 -> 1:
+    # still a partition into strings, but B_{w0} now depends on the word
+    return _swapped(graph_of("A2", (1, 1)), (0, 1), (2, 1))
+
+
+def test_left_descents():
+    a2 = cartan_datum("A2")
+    assert left_descents(a2, ()) == {}
+    assert left_descents(a2, (1, 2)) == {1: (2,)}
+    assert left_descents(a2, (2, 1, 2)) == {1: (2, 1), 2: (1, 2)}
+    for name in ("B2", "G2", "A3"):
+        datum = cartan_datum(name)
+        for w in weyl_group(datum)[1:]:
+            descents = left_descents(datum, w)
+            assert w[0] == min(descents) and descents[w[0]] == w[1:]
+            assert all(len(v) == len(w) - 1 for v in descents.values())
+
+
+@pytest.mark.parametrize("name,lam", ACCEPTANCE + [("D4", (1, 1, 1, 1))])
+def test_subsets_and_characters_match_single_words(name, lam, graph_of):
+    graph = graph_of(name, lam)
+    datum = graph.datum
+    subsets, witness = demazure_subsets(graph)
+    chars = demazure_characters(datum, lam)
+    group = weyl_group(datum)
+    assert witness is None
+    assert tuple(subsets) == group and tuple(chars) == group
+    top = FormalCharacter.monomial(lam)
+    for w in group:
+        assert subsets[w].word == w and subsets[w].graph is graph
+        assert subsets[w].members == demazure_crystal(graph, w).members
+        assert chars[w] == apply_demazure_word(datum, w, top)
+
+
+@pytest.mark.parametrize("name,lam", SMALL_W)
+def test_independence_verdict_matches_all_reduced_words(name, lam, graph_of):
+    graph = graph_of(name, lam)
+    assert weyl_order(graph.datum) <= 48
+    _, witness = demazure_subsets(graph)
+    per_word = [w for w in weyl_group(graph.datum)
+                if not reduced_word_independence(graph, w)[0]]
+    assert witness is None and per_word == []
+
+
+def test_independence_verdict_on_tampered_graph(graph_of):
+    graph = _tampered_a2(graph_of)
+    _, witness = demazure_subsets(graph)
+    per_word = [w for w in weyl_group(graph.datum)
+                if not reduced_word_independence(graph, w)[0]]
+    assert per_word == [(1, 2, 1)]
+    assert witness == ((1, 2, 1), ("left descents disagree", 1, 2, 4))
+    left = demazure_crystal(graph, (1, 2, 1)).members
+    right = demazure_crystal(graph, (2, 1, 2)).members
+    assert min(left ^ right) == 4
+
+
+def _variants(dc):
+    """dc itself, dc corrupted as ``--inject-failure`` does, one member dropped, one added."""
+    yield dc
+    try:
+        yield cli._corrupt(dc)
+    except RuntimeError:
+        pass
+    members = sorted(dc.members)
+    outside = sorted(set(dc.graph.all_ids()) - dc.members)
+    if len(members) > 1:
+        yield dataclasses.replace(dc, members=dc.members - {members[len(members) // 2]})
+    if outside:
+        yield dataclasses.replace(dc, members=dc.members | {outside[-1]})
+
+
+@pytest.mark.parametrize("name,lam", ACCEPTANCE + [("C3", (1, 0, 1))])
+def test_string_checks_match_intersection_loops(name, lam, graph_of):
+    graph = graph_of(name, lam)
+    failures = 0
+    for w in weyl_group(graph.datum):
+        for dc in _variants(demazure_crystal(graph, w)):
+            for i in graph.indices():
+                expected = string_property(dc, i)
+                assert verify_string_property(dc, i) == expected, (w, i)
+                assert verify_filtration_structure(dc, i) == filtration_structure(dc, i)
+                failures += not expected[0]
+    # the corrupted variants do exercise the failure witnesses
+    assert failures > 0 or len(graph) == 1
+
+
+def test_string_index_built_once_per_graph_and_index(graph_of):
+    graph = graph_of("B2", (1, 1))
+    for i in graph.indices():
+        strings, where = string_index(graph, i)
+        assert string_index(graph, i)[0] is strings
+        assert [s.top for s in strings] == [s.top for s in i_strings(graph, i)]
+        for n, s in enumerate(strings):
+            assert all(where[b] == n for b in s.members)
+
+
+def test_verify_builds_each_string_partition_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(graph, i):
+        calls.append(i)
+        return i_strings(graph, i)
+
+    monkeypatch.setattr(demazure_module, "i_strings", counted)
+    assert cli.main(["verify", "--type", "D4", "--weight", "1,0,0,0"]) == cli.EXIT_OK
+    assert sorted(calls) == [1, 2, 3, 4]
+
+
+def test_verify_logs_no_sampling_warnings(caplog, capsys):
+    with caplog.at_level(logging.WARNING, logger="qcrystal"):
+        assert cli.main(["verify", "--type", "D4", "--weight", "1,0,0,0"]) == cli.EXIT_OK
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+    assert "result: PASS" in capsys.readouterr().out
+
+
+def test_negative_control_descents_disagree(graph_of, monkeypatch, capsys):
+    tampered = _tampered_a2(graph_of)
+    monkeypatch.setattr(cli, "generate_crystal", lambda *args, **kwargs: tampered)
+    code = cli.main(["verify", "--type", "A2", "--weight", "1,1", "--format", "json"])
+    assert code == cli.EXIT_VERIFY_FAILED
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    row = checks["reduced-word-independence"]
+    assert row["ok"] is False
+    assert row["witness"] == "((1, 2, 1), ('left descents disagree', 1, 2, 4))"
+
+
+def test_i_strings_rejects_tampered_edges(graph_of):
+    graph = graph_of("A2", (1, 1))
+    # 2 -> 3 -> 5 is a 1-string; cut it, or send 0 into its middle
+    cut = dict(graph.edges)
+    del cut[(3, 1)]
+    merged = dict(graph.edges)
+    merged[(0, 1)] = 3
+    for edges in (cut, merged):
+        tampered = CrystalGraph(graph.datum, graph.highest_weight, graph.elements,
+                                edges, graph.denominator)
+        with pytest.raises(RuntimeError, match="1-strings cover"):
+            i_strings(tampered, 1)
+        assert len(i_strings(tampered, 2)) == len(i_strings(graph, 2))
