@@ -8,6 +8,7 @@ cap exceeded.  Set CRYSTAL_LOG to error, info or debug to adjust logging.
 """
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -51,7 +52,9 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+@functools.cache
 def _build_parser():
+    """The argparse parser, built on first use and shared by later parses."""
     parser = argparse.ArgumentParser(
         prog="qcrystal",
         description="exact crystals, Demazure subsets and characters")

@@ -44,11 +44,26 @@ class DemazureCrystal:
         return len(self.members)
 
 
+def _endless_string(graph, b, i):
+    return RuntimeError(f"the {i}-string below element {b} does not end within "
+                        f"{len(graph)} steps: the {i}-edges contain a cycle")
+
+
 def _saturate(graph, members, i):
+    """members and every f_tilde_i chain below them.
+
+    Each walk stops after len(graph) steps with a RuntimeError: a longer
+    one has met a cycle of i-edges and would not end.
+    """
     out = set(members)
+    limit = len(graph)
     for b in members:
+        steps = 0
         child = graph.f(b, i)
         while child is not None:
+            steps += 1
+            if steps > limit:
+                raise _endless_string(graph, b, i)
             out.add(child)
             child = graph.f(child, i)
     return out
@@ -155,15 +170,18 @@ def i_strings(graph, i):
     """Partition of the crystal into i-strings, in order of their tops.
 
     Raises RuntimeError when the strings' lengths do not add up to the size
-    of the crystal: then the i-edges are not those of a normal crystal.
+    of the crystal, or when a string walk finds a cycle: then the i-edges
+    are not those of a normal crystal.
     """
-    strings = []
+    strings, limit = [], len(graph)
     for b in graph.all_ids():
         if graph.eps(b, i) != 0:
             continue
         chain = [b]
         child = graph.f(b, i)
         while child is not None:
+            if len(chain) > limit:
+                raise _endless_string(graph, b, i)
             chain.append(child)
             child = graph.f(child, i)
         strings.append(IString(i=i, top=b, members=tuple(chain)))

@@ -4,9 +4,69 @@ Laurent polynomials with integer coefficients, balanced quantum integers
 [n] = q^(n-1) + q^(n-3) + ... + q^(1-n), quantum factorials and binomials,
 and the bar involution q -> q^-1.  Coefficients are Python ints, so quantum
 factorials can grow without overflow.
+
+Products use Kronecker substitution: both factors are shifted to exponent
+0 and evaluated at q = 2^bits, the two big ints are multiplied by
+CPython's own integer product, and the coefficients are read back as
+signed bits-wide digits.  ``bits`` is a multiple of 8 with 2^(bits-1)
+above min(len a, len b) * max|a_i| * max|b_j|, a bound on every product
+coefficient, so no digit carries into the next and the result is exact.
+When one factor has at most ``_SCHOOLBOOK_MAX_TERMS`` terms the product
+is summed term by term instead: that is faster than packing the other
+factor into an int (measured crossover, see CHANGES.md).
 """
 
+import sys
 from functools import lru_cache
+
+#: A product whose shorter factor has at most this many terms is summed term
+#: by term; with longer factors one big-int product is faster.
+_SCHOOLBOOK_MAX_TERMS = 3
+
+#: memoryview formats of 1-, 2-, 4- and 8-byte unsigned digits.
+_DIGIT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _pack(terms, lo, n, width, half):
+    """The int sum of c * 2^(8 width (e - lo)) over the terms, n digits long."""
+    blank = half.to_bytes(width, sys.byteorder) * n
+    buf = bytearray(blank)
+    fmt = _DIGIT_FORMATS.get(width)
+    if fmt:
+        digits = memoryview(buf).cast(fmt)
+        for e, c in terms.items():
+            digits[e - lo] = c + half
+    else:
+        for e, c in terms.items():
+            k = (e - lo) * width
+            buf[k:k + width] = (c + half).to_bytes(width, sys.byteorder)
+    return int.from_bytes(buf, sys.byteorder) - int.from_bytes(blank, sys.byteorder)
+
+
+def _unpack(value, lo, n, width, half):
+    """Nonzero terms {lo + k: digit k} of an int of n signed width-byte digits."""
+    blank = half.to_bytes(width, sys.byteorder) * n
+    raw = (value + int.from_bytes(blank, sys.byteorder)).to_bytes(n * width, sys.byteorder)
+    fmt = _DIGIT_FORMATS.get(width)
+    if fmt:
+        digits = memoryview(raw).cast(fmt).tolist()
+    else:
+        digits = [int.from_bytes(raw[k:k + width], sys.byteorder)
+                  for k in range(0, len(raw), width)]
+    return {lo + k: d - half for k, d in enumerate(digits) if d != half}
+
+
+def _kronecker_product(a, b):
+    """Terms of the product of two nonzero term maps, by one big-int product."""
+    lo_a, lo_b = min(a), min(b)
+    na, nb = max(a) - lo_a + 1, max(b) - lo_b + 1
+    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+    width = (bound.bit_length() + 8) // 8  # bytes, with 2^(8 width - 1) > bound
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()  # round up to a memoryview format
+    half = 1 << (8 * width - 1)
+    value = _pack(a, lo_a, na, width, half) * _pack(b, lo_b, nb, width, half)
+    return _unpack(value, lo_a + lo_b, na + nb - 1, width, half)
 
 
 class ExactDivisionError(ArithmeticError):
@@ -23,14 +83,19 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        acc: dict[int, int] = {}
-        if terms:
-            pairs = terms.items() if isinstance(terms, dict) else terms
-            for exp, coef in pairs:
-                if not isinstance(exp, int) or not isinstance(coef, int):
-                    raise TypeError("exponents and coefficients must be ints")
-                acc[exp] = acc.get(exp, 0) + coef
-        object.__setattr__(self, "_terms", {e: c for e, c in acc.items() if c})
+        if isinstance(terms, dict) and {*map(type, terms), *map(type, terms.values())} == {int}:
+            acc = terms  # plain ints, one per exponent: nothing to check or merge
+        else:
+            acc = {}
+            if terms:
+                pairs = terms.items() if isinstance(terms, dict) else terms
+                for exp, coef in pairs:
+                    if not isinstance(exp, int) or not isinstance(coef, int):
+                        raise TypeError("exponents and coefficients must be ints")
+                    acc[exp] = acc.get(exp, 0) + coef
+        if 0 in acc.values():
+            acc = {e: c for e, c in acc.items() if c}
+        object.__setattr__(self, "_terms", dict(acc))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -97,9 +162,12 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        a, b = self._terms, other._terms
+        if min(len(a), len(b)) > _SCHOOLBOOK_MAX_TERMS:
+            return LaurentPoly(_kronecker_product(a, b))
         out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(out)

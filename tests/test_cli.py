@@ -1,5 +1,6 @@
 """CLI surface: parsing, exporters, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -27,6 +28,31 @@ def test_parse_args_roundtrip():
     assert spec.weight == (2,) and spec.fmt == "text"
     spec = parse_args(["demazure", "--type", "A2", "--weight", "1,1", "--word", "1,2,1"])
     assert spec.word == (1, 2, 1)
+
+
+def test_parser_is_shared_but_specs_are_not(capsys):
+    first = parse_args(["rank-one", "--weight", "3"])
+    with pytest.raises(SystemExit) as err:
+        parse_args(["crystal", "--type", "A2", "--weight", "1"])
+    assert err.value.code == EXIT_USAGE
+    assert capsys.readouterr().err
+    second = parse_args(["rank-one", "--weight", "3"])
+    assert second == first and second is not first
+    first.weight = (9,)
+    assert parse_args(["rank-one", "--weight", "3"]).weight == (3,)
+    other = parse_args(["demazure", "--type", "A2", "--weight", "1,1", "--word", "1,2"])
+    assert (other.command, other.word, other.fmt) == ("demazure", (1, 2), "text")
+    assert (second.command, second.word) == ("rank-one", None)
+
+
+def test_parser_is_built_on_first_use():
+    # importing the CLI builds no parser; the first parse builds the only one
+    probe = ("import qcrystal.cli as c; n = c._build_parser.cache_info().currsize; "
+             "c.parse_args(['rank-one', '--weight', '1']); "
+             "c.parse_args(['rank-one', '--weight', '2']); "
+             "print(n, c._build_parser.cache_info().currsize, c._build_parser.cache_info().misses)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True)
+    assert result.stdout.split() == [b"0", b"1", b"1"], result.stderr
 
 
 def test_parse_args_usage_errors(capsys):
@@ -160,6 +186,23 @@ def test_rank_one_command():
     assert "K . f^(0)v = q^3 f^(0)v" in out
     assert "crystal chain: 0 -> 1 -> 2 -> 3" in out
     assert "sl2 relation" in out and "ok" in out
+
+
+# sha256 of the exact bytes of ``rank-one --weight N``, recorded before the
+# Laurent product moved to Kronecker substitution
+RANK_ONE_SHA256 = {
+    0: "7c42e96898fb2530fd53507acea54465aaefc6e9fde297ef84e93e2ab4fd5f35",
+    1: "3762fac63dd9891dacbbe5554da3fa6c9b503a77e5fe072352a0214a348829fb",
+    2: "6495b659554d0bb0741ff344acf04926b2089bb6c880f7a897390a7c31859b2a",
+    40: "152e0356a489c9f5b0821b56132848c757da43fafda4763ca2134082e860f3ed",
+}
+
+
+def test_rank_one_bytes_pinned(tmp_path):
+    for lam, digest in RANK_ONE_SHA256.items():
+        out = tmp_path / f"rank-one-{lam}.txt"
+        assert main(["rank-one", "--weight", str(lam), "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, lam
 
 
 def test_resource_cap_exit_code():

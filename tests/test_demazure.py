@@ -2,9 +2,11 @@
 
 import pytest
 
-from qcrystal.demazure import (demazure_crystal, extremal_element,
-                               extremal_weights, filtration_layers, i_strings,
-                               quotient_strings, reduced_word_independence,
+from qcrystal.crystal import CrystalGraph
+from qcrystal.demazure import (demazure_crystal, demazure_subsets,
+                               extremal_element, extremal_weights,
+                               filtration_layers, i_strings, quotient_strings,
+                               reduced_word_independence,
                                verify_filtration_structure,
                                verify_string_property)
 from qcrystal.root_data import (apply_word, canonical_word, cartan_datum,
@@ -123,6 +125,36 @@ def test_i_strings_partition(graph_of):
             # eps + phi constant along the string
             lengths = {graph.eps(b, i) + graph.phi(b, i) for b in s.members}
             assert lengths == {s.length}
+
+
+class _CountedGraph(CrystalGraph):
+    """Fails the test, rather than hanging it, once f has run far too often."""
+
+    calls = 0
+
+    def f(self, b, i):
+        self.calls += 1
+        assert self.calls < 10_000, "an f_tilde walk did not stop"
+        return super().f(b, i)
+
+
+def test_cyclic_i_edges_raise(graph_of):
+    # A2 (1,1) has the 1-string 2 -> 3 -> 5; sending 5 back to 3 makes a cycle
+    graph = graph_of("A2", (1, 1))
+    edges = dict(graph.edges)
+    edges[(5, 1)] = 3
+
+    def tampered():
+        return _CountedGraph(graph.datum, graph.highest_weight, graph.elements,
+                             edges, graph.denominator)
+
+    for run in (lambda g: i_strings(g, 1),
+                lambda g: demazure_crystal(g, (1, 2)),
+                lambda g: demazure_crystal(g, (2, 1, 2)),
+                demazure_subsets):
+        with pytest.raises(RuntimeError, match="element 2 does not end within 8 steps"):
+            run(tampered())
+    assert len(i_strings(tampered(), 2)) == 4  # the 2-edges are untouched
 
 
 def test_string_property_cases(graph_of):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qcrystal.qarith import (ExactDivisionError, LaurentPoly, bar,
                              eval_at_one, one, q, qbinom, qfact, qint, zero)
+from schoolbook_reference import schoolbook_items
 
 laurent_polys = st.builds(
     LaurentPoly,
@@ -130,3 +131,92 @@ def test_immutability_and_hash():
         p._terms = {}
     assert hash(qint(4)) == hash(qint(4) + qint(2) - qint(2))
     assert len({qint(2), qint(2), qint(3)}) == 2
+
+
+# -- Kronecker products against the term-by-term reference -----------------
+
+# Up to 40 terms over exponents -100..100, so both the short-factor
+# branch and the Kronecker branch run; coefficients up to 10^40 reach
+# every digit width, including the one past 8 bytes.
+wide_polys = st.builds(
+    LaurentPoly,
+    st.dictionaries(st.integers(-100, 100),
+                    st.one_of(st.integers(-3, 3), st.integers(-10**40, 10**40)),
+                    max_size=40))
+operands = st.one_of(wide_polys, st.integers(-10**40, 10**40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_polys, operands)
+def test_product_matches_schoolbook(a, b):
+    assert (a * b).items() == schoolbook_items(a, b)
+    assert (b * a).items() == schoolbook_items(b, a)
+
+
+def test_product_edge_cases():
+    dense = LaurentPoly({e: 1 for e in range(-50, 50)})
+    cases = [
+        (zero, zero), (zero, dense), (dense, zero), (dense, 0), (0, dense),
+        (one, dense), (q, dense), (dense, -7), (LaurentPoly({-90: -3}), dense),
+        (qint(400), qint(401)), (qint(400), -qint(3)), (qint(5), qint(-6)),
+        # inner coefficients cancel: (1 - q) (1 + q + ... + q^99) = 1 - q^100
+        (LaurentPoly({0: 1, 1: -1}), LaurentPoly({e: 1 for e in range(100)})),
+        (LaurentPoly({-60: 1, -59: -1, -58: 1, -57: -1}), LaurentPoly({e: 1 for e in range(40)})),
+        (LaurentPoly({e: -10**40 if e % 2 else 10**40 for e in range(-20, 20)}), dense),
+        (qfact(25), qfact(24)),
+    ]
+    for a, b in cases:
+        assert (a * b).items() == schoolbook_items(a, b), (a, b)
+    assert (LaurentPoly({0: 1, 1: -1}) * LaurentPoly({e: 1 for e in range(100)})
+            == LaurentPoly({0: 1, 100: -1}))
+
+
+def test_product_digit_width_boundaries():
+    # c (1 + q + q^2 + q^3) times +-c (...) has middle coefficient +-4c^2,
+    # the bound the digit width is chosen from: take c on both sides of
+    # each 1-, 2-, 4- and 8-byte limit, and past it.
+    for bits in (8, 16, 32, 64, 128):
+        c0 = math.isqrt((2 ** (bits - 1) - 1) // 4)
+        for c in (c0, c0 + 1):
+            a = LaurentPoly({e: c for e in range(-1, 3)})
+            for b in (a, -a):
+                product = a * b
+                assert product.items() == schoolbook_items(a, b), (bits, c)
+                assert max(abs(v) for _, v in product.items()) == 4 * c * c
+            mixed = LaurentPoly({e: -c if e % 2 else c for e in range(4)})
+            assert (a * mixed).items() == schoolbook_items(a, mixed), (bits, c)
+
+
+def test_qfact_steps_match_schoolbook():
+    for n in range(41):
+        step = qfact(n) * qint(n + 1)
+        assert step == qfact(n + 1)
+        assert step.items() == schoolbook_items(qfact(n), qint(n + 1))
+        assert eval_at_one(step) == math.factorial(n + 1)
+    big = qfact(60)
+    assert big.items() == schoolbook_items(qfact(59), qint(60))
+    assert eval_at_one(big) == math.factorial(60)
+    assert bar(big) == big and big.coefficient(big.max_exp()) == 1
+
+
+def test_qbinom_evaluates_to_binomial_up_to_60():
+    # every k for m <= 12; k = 0, 1, m and the middle of m = 60 above that
+    # (exact division dominates the cost, so the middle is checked once)
+    cases = {(m, k) for m in range(13) for k in range(m + 1)}
+    cases |= {(m, k) for m in range(61) for k in (0, 1, m)}
+    cases.add((60, 30))
+    for m, k in sorted(cases):
+        assert eval_at_one(qbinom(m, k)) == math.comb(m, k), (m, k)
+
+
+def test_constructor_checks_and_copies():
+    for bad in ({0.5: 1}, {0: 1.0}, {"1": 1}, [(0, 1), (1, "2")]):
+        with pytest.raises(TypeError):
+            LaurentPoly(bad)
+    assert LaurentPoly({0: 0, 1: 2, 2: 0}).items() == ((1, 2),)
+    assert LaurentPoly([(1, 2), (1, -2), (0, 3)]).items() == ((0, 3),)
+    assert type(LaurentPoly({1: True}).coefficient(1)) is int
+    terms = {3: 1, 4: 5}
+    p = LaurentPoly(terms)
+    terms[3] = 9
+    assert p.coefficient(3) == 1
