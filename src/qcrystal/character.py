@@ -3,7 +3,8 @@
 A formal character is a finite multiplicity map from weights to integers.
 Characters of crystal subsets are nonnegative, but Demazure operators need
 signed intermediate values, so negative entries are allowed and crystal
-characters are validated at the boundary instead.
+characters are validated at the boundary instead.  ``FormalCharacter`` is a
+``SparseMap`` (``sparse.py``), the core it shares with ``LaurentPoly``.
 
 Two independent oracles live here: the Weyl dimension product formula and
 Freudenthal's multiplicity recursion.  Neither touches the path model, so
@@ -18,70 +19,36 @@ from fractions import Fraction
 from .root_data import (dominant_representative, is_dominant, positive_roots,
                         root_coords, root_weight_coords, simple_root, weyl_group,
                         weyl_orbit)
+from .sparse import SparseMap
 
 
-class FormalCharacter:
-    """Finite integer multiplicity map on the weight lattice."""
+class FormalCharacter(SparseMap):
+    """Finite integer multiplicity map on the weight lattice.
 
-    __slots__ = ("_mult",)
+    A ``SparseMap`` from weight tuple to nonzero multiplicity.
+    """
 
-    def __init__(self, mult=None):
-        acc: dict[tuple[int, ...], int] = {}
-        if mult:
-            pairs = mult.items() if isinstance(mult, dict) else mult
-            for weight, m in pairs:
-                weight = tuple(weight)
-                acc[weight] = acc.get(weight, 0) + m
-        object.__setattr__(self, "_mult", {w: m for w, m in acc.items() if m})
+    __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalCharacter is immutable")
+    @staticmethod
+    def _key(weight, mult):
+        return tuple(weight)
 
     @classmethod
     def monomial(cls, weight, mult=1):
         return cls({tuple(weight): mult})
 
     def multiplicity(self, weight):
-        return self._mult.get(tuple(weight), 0)
+        return self._terms.get(tuple(weight), 0)
 
     __getitem__ = multiplicity
 
-    def items(self):
-        """(weight, multiplicity) pairs, weights lex-descending."""
-        return tuple(sorted(self._mult.items(), reverse=True))
-
     def support(self):
-        return frozenset(self._mult)
+        return frozenset(self._terms)
 
     def total(self):
         """Sum of all multiplicities (the dimension, for a crystal character)."""
-        return sum(self._mult.values())
-
-    def __len__(self):
-        return len(self._mult)
-
-    def __bool__(self):
-        return bool(self._mult)
-
-    def __add__(self, other):
-        out = dict(self._mult)
-        for w, m in other._mult.items():
-            out[w] = out.get(w, 0) + m
-        return FormalCharacter(out)
-
-    def __neg__(self):
-        return FormalCharacter({w: -m for w, m in self._mult.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalCharacter):
-            return NotImplemented
-        return self._mult == other._mult
-
-    def __hash__(self):
-        return hash(frozenset(self._mult.items()))
+        return sum(self._terms.values())
 
     def render(self):
         """Canonical text form: one ``(<coords>) : <mult>`` line per weight."""
@@ -90,9 +57,6 @@ class FormalCharacter:
             coords = ", ".join(str(c) for c in w)
             lines.append(f"({coords}) : {m}")
         return "\n".join(lines)
-
-    def __repr__(self):
-        return f"FormalCharacter({dict(self.items())!r})"
 
 
 def char_of(members, graph):
@@ -112,7 +76,7 @@ def demazure_operator(datum, i, chi):
     """
     alpha = simple_root(datum, i)
     out: dict[tuple[int, ...], int] = {}
-    for mu, c in chi.items():
+    for mu, c in chi._terms.items():
         m = mu[i - 1]
         if m >= 0:
             for k in range(m + 1):
@@ -122,7 +86,7 @@ def demazure_operator(datum, i, chi):
             for k in range(1, -m):
                 w = tuple(x + k * a for x, a in zip(mu, alpha))
                 out[w] = out.get(w, 0) - c
-    return FormalCharacter(out)
+    return FormalCharacter._new(out)
 
 
 def apply_demazure_word(datum, word, chi):
@@ -241,4 +205,4 @@ def weyl_character(datum, lam):
     for mu, m in mult.items():
         for nu in weyl_orbit(datum, mu):
             full[nu] = m
-    return FormalCharacter(full)
+    return FormalCharacter._new(full)

@@ -21,7 +21,7 @@ from .demazure import (DemazureCrystal, demazure_crystal, demazure_subsets,
                        string_index, verify_filtration_structure,
                        verify_string_property)
 from .qarith import qint
-from .rank_one import RankOneModule, act_e, act_f, crystal_f_tilde, verify_sl2_relation
+from .rank_one import RankOneModule, act_e, act_f, verify_sl2_relation
 from .root_data import cartan_datum, longest_word
 
 log = logging.getLogger("qcrystal")

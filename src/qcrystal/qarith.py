@@ -3,7 +3,9 @@
 Laurent polynomials with integer coefficients, balanced quantum integers
 [n] = q^(n-1) + q^(n-3) + ... + q^(1-n), quantum factorials and binomials,
 and the bar involution q -> q^-1.  Coefficients are Python ints, so quantum
-factorials can grow without overflow.
+factorials can grow without overflow.  ``LaurentPoly`` is a ``SparseMap``
+(``sparse.py``): the shared core holds the terms and supplies sums,
+negation, equality and hashing; this module adds products and division.
 
 Products use Kronecker substitution: both factors are shifted to exponent
 0 and evaluated at q = 2^bits, the two big ints are multiplied by
@@ -18,6 +20,8 @@ factor into an int (measured crossover, see CHANGES.md).
 
 import sys
 from functools import lru_cache
+
+from .sparse import SparseMap
 
 #: A product whose shorter factor has at most this many terms is summed term
 #: by term; with longer factors one big-int product is faster.
@@ -73,38 +77,23 @@ class ExactDivisionError(ArithmeticError):
     """Division of Laurent polynomials left a nonzero remainder."""
 
 
-class LaurentPoly:
+class LaurentPoly(SparseMap):
     """A Laurent polynomial in q over the integers.
 
-    Stored as a map exponent -> nonzero coefficient.  Values are immutable
-    and hashable; all arithmetic is exact and returns new objects.
+    A ``SparseMap`` from exponent to nonzero coefficient.  Values are
+    immutable and hashable; all arithmetic is exact and returns new objects.
+    Ints take part in sums, products and comparisons as constants.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        if isinstance(terms, dict) and {*map(type, terms), *map(type, terms.values())} == {int}:
-            acc = terms  # plain ints, one per exponent: nothing to check or merge
-        else:
-            acc = {}
-            if terms:
-                pairs = terms.items() if isinstance(terms, dict) else terms
-                for exp, coef in pairs:
-                    if not isinstance(exp, int) or not isinstance(coef, int):
-                        raise TypeError("exponents and coefficients must be ints")
-                    acc[exp] = acc.get(exp, 0) + coef
-        if 0 in acc.values():
-            acc = {e: c for e, c in acc.items() if c}
-        object.__setattr__(self, "_terms", dict(acc))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
+    @staticmethod
+    def _key(exp, coef):
+        if not isinstance(exp, int) or not isinstance(coef, int):
+            raise TypeError("exponents and coefficients must be ints")
+        return exp
 
     # -- inspection ----------------------------------------------------
-
-    def items(self):
-        """Terms as (exponent, coefficient) pairs, decreasing exponent."""
-        return tuple(sorted(self._terms.items(), reverse=True))
 
     def coefficient(self, exp):
         return self._terms.get(exp, 0)
@@ -119,12 +108,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return max(self._terms)
 
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __len__(self):
-        return len(self._terms)
-
     # -- ring structure ------------------------------------------------
 
     @staticmethod
@@ -132,31 +115,8 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, int):
-            return LaurentPoly({0: other})
+            return LaurentPoly._new({0: other})
         return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -164,13 +124,13 @@ class LaurentPoly:
             return NotImplemented
         a, b = self._terms, other._terms
         if min(len(a), len(b)) > _SCHOOLBOOK_MAX_TERMS:
-            return LaurentPoly(_kronecker_product(a, b))
+            return LaurentPoly._new(_kronecker_product(a, b))
         out: dict[int, int] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly._new(out)
 
     __rmul__ = __mul__
 
@@ -184,7 +144,7 @@ class LaurentPoly:
 
     def shift(self, n):
         """Multiply by q^n."""
-        return LaurentPoly({e + n: c for e, c in self._terms.items()})
+        return LaurentPoly._new({e + n: c for e, c in self._terms.items()})
 
     def exact_div(self, other):
         """Exact quotient self / other; raises ExactDivisionError otherwise."""
@@ -215,18 +175,13 @@ class LaurentPoly:
                     rem[e2] = v
                 else:
                     rem.pop(e2, None)
-        return LaurentPoly(quo)
-
-    # -- comparison / hashing -------------------------------------------
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._terms == other._terms
+        return LaurentPoly._new(quo)
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        # A constant equals the int it holds, so it must hash like it.
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
+        return super().__hash__()
 
     # -- rendering -------------------------------------------------------
 
@@ -247,9 +202,6 @@ class LaurentPoly:
                 pieces.append(f" - {body}" if c < 0 else f" + {body}")
         return "".join(pieces)
 
-    def __repr__(self):
-        return f"LaurentPoly({dict(self.items())!r})"
-
 
 #: The generator q and the ring unit, for convenience.
 q = LaurentPoly({1: 1})
@@ -266,7 +218,7 @@ def qint(n):
         return zero
     if n < 0:
         return -qint(-n)
-    return LaurentPoly({n - 1 - 2 * k: 1 for k in range(n)})
+    return LaurentPoly._new({n - 1 - 2 * k: 1 for k in range(n)})
 
 
 @lru_cache(maxsize=None)

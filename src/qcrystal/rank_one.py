@@ -10,13 +10,16 @@ conventions f^(-1) v = f^(lambda+1) v = 0.  Generator actions:
 Divided powers act through quantum binomials, f^(p) . f^(k) v =
 [p+k choose k] f^(p+k) v, so every coefficient stays in Z[q, q^-1]; this
 module is the brute-force oracle for the rank-one crystal chain.
+
+A vector is a plain dict from basis index to nonzero ``LaurentPoly``
+coefficient; the coefficient arithmetic is the shared ``SparseMap`` core
+(``sparse.py``).  Each action sends distinct indices to distinct indices,
+so it builds its result in one pass with no accumulation.
 """
 
 from dataclasses import dataclass
 
-from .qarith import LaurentPoly, qbinom, qfact, qint
-
-Vector = dict[int, LaurentPoly]
+from .qarith import LaurentPoly, qbinom, qfact, qint, zero
 
 
 @dataclass(frozen=True)
@@ -37,31 +40,19 @@ class RankOneModule:
         return {k: LaurentPoly({0: 1})}
 
 
-def _clean(vec):
-    return {k: c for k, c in vec.items() if c}
-
-
 def act_f(m, v):
     """f . v, extended linearly over the basis."""
-    out: Vector = {}
-    for k, c in v.items():
-        if k + 1 <= m.lam:
-            out[k + 1] = out.get(k + 1, LaurentPoly()) + qint(k + 1) * c
-    return _clean(out)
+    return {k + 1: p for k, c in v.items() if k + 1 <= m.lam and (p := qint(k + 1) * c)}
 
 
 def act_e(m, v):
     """e . v, extended linearly over the basis."""
-    out: Vector = {}
-    for k, c in v.items():
-        if k - 1 >= 0:
-            out[k - 1] = out.get(k - 1, LaurentPoly()) + qint(m.lam - k + 1) * c
-    return _clean(out)
+    return {k - 1: p for k, c in v.items() if k - 1 >= 0 and (p := qint(m.lam - k + 1) * c)}
 
 
 def act_K(m, v):
     """K . v: scale the k-th basis coefficient by q^(lambda - 2k)."""
-    return _clean({k: c.shift(m.lam - 2 * k) for k, c in v.items()})
+    return {k: p for k, c in v.items() if (p := c.shift(m.lam - 2 * k))}
 
 
 def act_divided_f(m, power, v):
@@ -73,13 +64,9 @@ def act_divided_f(m, power, v):
     if power < 0:
         raise ValueError("divided power must be nonnegative")
     if power == 0:
-        return _clean(dict(v))
-    out: Vector = {}
-    for k, c in v.items():
-        t = k + power
-        if t <= m.lam:
-            out[t] = out.get(t, LaurentPoly()) + qbinom(t, k) * c
-    return _clean(out)
+        return {k: c for k, c in v.items() if c}
+    return {k + power: p for k, c in v.items()
+            if k + power <= m.lam and (p := qbinom(k + power, k) * c)}
 
 
 def iterated_f_over_factorial(m, power, v):
@@ -87,7 +74,7 @@ def iterated_f_over_factorial(m, power, v):
     for _ in range(power):
         v = act_f(m, v)
     fact = qfact(power)
-    return _clean({k: c.exact_div(fact) for k, c in v.items()})
+    return {k: p for k, c in v.items() if (p := c.exact_div(fact))}
 
 
 def crystal_f_tilde(m, k):
@@ -106,18 +93,12 @@ def verify_sl2_relation(m):
     """
     for k in range(m.lam + 1):
         v = m.basis_vector(k)
-        lhs = _sub(act_e(m, act_f(m, v)), act_f(m, act_e(m, v)))
-        rhs = _clean({k: qint(m.lam - 2 * k)})
-        if lhs != rhs:
+        ef, fe = act_e(m, act_f(m, v)), act_f(m, act_e(m, v))
+        lhs = {j: p for j in ef.keys() | fe.keys() if (p := ef.get(j, zero) - fe.get(j, zero))}
+        rhs = qint(m.lam - 2 * k)
+        if lhs != ({k: rhs} if rhs else {}):
             return False, (m.lam, k)
         direct = qint(k + 1) * qint(m.lam - k) - qint(k) * qint(m.lam - k + 1)
         if direct != qint(m.lam - 2 * k):
             return False, (m.lam, k)
     return True, None
-
-
-def _sub(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, LaurentPoly()) - c
-    return _clean(out)

@@ -11,13 +11,9 @@ a[1][2] = -3 (alpha_1 short, alpha_2 long); the fundamental weight omega_1
 then carries the 7-dimensional representation.
 """
 
-import logging
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-log = logging.getLogger("qcrystal")
 
 Weight = tuple[int, ...]
 WeylWord = tuple[int, ...]
@@ -239,14 +235,10 @@ def left_descents(datum, word):
 def all_reduced_words(datum, word):
     """Every reduced word of the element of ``word``, sorted.
 
-    Enumerated by recursion over left descents, which walks the whole braid
-    class.  Full enumeration is restricted to |W| <= 48; for larger groups a
-    deterministic sample of at least 5 words is returned with a warning.
+    Enumerated by a memoized recursion over left descents, which walks the
+    whole braid class: every supported type, D4 w0 with its 2316 words
+    included.
     """
-    if weyl_order(datum) > 48:
-        log.warning("|W(%s)| = %d > 48: sampling reduced words instead of "
-                    "enumerating all of them", datum.name, weyl_order(datum))
-        return _sample_reduced_words(datum, word, 5)
     table = _element_table(datum)
     memo: dict[Weight, tuple[WeylWord, ...]] = {}
 
@@ -266,25 +258,6 @@ def all_reduced_words(datum, word):
         return memo[key]
 
     return rec(element_key(datum, word))
-
-
-def _sample_reduced_words(datum, word, count):
-    table = _element_table(datum)
-    rng = random.Random(0)
-    target = element_key(datum, word)
-    found = {canonical_word(datum, word)}
-    for _ in range(200):
-        key, picked = target, []
-        while table[key]:
-            descents = [i for i in datum.indices()
-                        if len(table[reflect(datum, i, key)]) == len(table[key]) - 1]
-            i = rng.choice(descents)
-            picked.append(i)
-            key = reflect(datum, i, key)
-        found.add(tuple(picked))
-        if len(found) >= count:
-            break
-    return tuple(sorted(found))
 
 
 def _solve_root_coords(datum, mu):

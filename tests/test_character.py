@@ -25,6 +25,12 @@ def test_formal_character_basics():
     assert FormalCharacter().render() == ""
 
 
+def test_formal_character_rejects_int_operands():
+    for op in (lambda c: c + 1, lambda c: 1 + c, lambda c: c - 1, lambda c: 1 - c):
+        with pytest.raises(TypeError):
+            op(FormalCharacter())
+
+
 def test_char_of_examples(graph_of):
     trivial = graph_of("A2", (0, 0))
     assert char_of(trivial.all_ids(), trivial) == FormalCharacter.monomial((0, 0))

@@ -133,6 +133,13 @@ def test_immutability_and_hash():
     assert len({qint(2), qint(2), qint(3)}) == 2
 
 
+def test_constants_hash_like_the_ints_they_equal():
+    assert one == 1 and hash(one) == hash(1)
+    assert zero == 0 and hash(zero) == hash(0)
+    assert -qint(1) == -1 and hash(-qint(1)) == hash(-1)
+    assert {1: "x"}[one] == "x"
+
+
 # -- Kronecker products against the term-by-term reference -----------------
 
 # Up to 40 terms over exponents -100..100, so both the short-factor
