@@ -16,9 +16,10 @@ consequence of the underlying vanishing theory, not a proof of it.
 import itertools
 from fractions import Fraction
 
-from .root_data import (dominant_representative, is_dominant, positive_roots,
-                        root_coords, root_weight_coords, simple_root, weyl_group,
-                        weyl_orbit)
+from .demazure import demazure_crystal
+from .root_data import (_check_rank, dominant_representative, is_dominant,
+                        positive_roots, root_coords, root_weight_coords,
+                        simple_root, weyl_group, weyl_orbit)
 from .sparse import SparseMap
 
 
@@ -118,8 +119,6 @@ def verify_demazure_character(graph, lam, word):
     composition applies the last letter first; this pairing is what makes
     the two sides agree word by word.
     """
-    from .demazure import demazure_crystal
-
     lam = tuple(lam)
     if tuple(graph.highest_weight) != lam:
         raise ValueError("graph highest weight does not match lam")
@@ -140,6 +139,7 @@ def weyl_dimension(datum, lam):
     the ratio.
     """
     lam = tuple(lam)
+    _check_rank(datum, lam)
     if not is_dominant(lam):
         raise ValueError(f"dimension formula needs a dominant weight, got {lam}")
     d = datum.sym
@@ -165,6 +165,7 @@ def weyl_character(datum, lam):
     over Weyl orbits.  Independent of the path model by construction.
     """
     lam = tuple(lam)
+    _check_rank(datum, lam)
     if not is_dominant(lam):
         raise ValueError(f"Freudenthal needs a dominant weight, got {lam}")
     d = datum.sym

@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: crystal, demazure, character, rank-one, verify.  Output is
+Subcommands: crystal, demazure, character, rank-one, verify.  The job is
+the argparse namespace that ``parse_args`` validates; ``_run`` turns it
+into an exit code and the output bytes, which ``main`` writes.  Output is
 deterministic byte for byte: element ids are BFS order, edges and members
 are emitted sorted, and JSON key order is fixed.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 output write failure, 4 resource
@@ -13,7 +15,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 
 from .character import char_of, demazure_characters, weyl_character, weyl_dimension
 from .crystal import DEFAULT_MAX_ELEMENTS, ResourceCapError, generate_crystal, verify_normal
@@ -33,18 +34,6 @@ EXIT_WRITE = 3
 EXIT_RESOURCE = 4
 
 
-@dataclass
-class JobSpec:
-    command: str
-    type_name: str | None
-    weight: tuple[int, ...]
-    word: tuple[int, ...] | None
-    fmt: str
-    out: str | None
-    max_elements: int
-    inject_failure: bool = False
-
-
 def _int_list(text):
     try:
         return tuple(int(x) for x in text.split(","))
@@ -58,11 +47,12 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="qcrystal",
         description="exact crystals, Demazure subsets and characters")
+    parser.set_defaults(type_name=None, word=None, inject_failure=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, word_help=None, typed=True):
         if typed:
-            p.add_argument("--type", required=True, metavar="NAME",
+            p.add_argument("--type", dest="type_name", required=True, metavar="NAME",
                            help="root-system type, e.g. A2, B2, G2")
         p.add_argument("--weight", required=True, type=_int_list, metavar="C1,C2,...",
                        help="dominant weight in fundamental-weight coordinates")
@@ -89,42 +79,36 @@ def _build_parser():
 
 
 def parse_args(argv):
-    """Parse and validate argv into a JobSpec; exits with code 2 on misuse."""
+    """Parse and validate argv into the job; exits with code 2 on misuse.
+
+    The job is the argparse namespace itself.  Every subcommand yields the
+    same fields: command, type_name (None for rank-one), weight, word,
+    fmt, out, max_elements and inject_failure.
+    """
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    type_name = getattr(ns, "type", None)
-    word = getattr(ns, "word", None)
-    if type_name is not None:
+    if ns.type_name is not None:
         try:
-            datum = cartan_datum(type_name)
+            datum = cartan_datum(ns.type_name)
         except ValueError as exc:
             parser.error(str(exc))
         if len(ns.weight) != datum.rank:
             parser.error(f"--weight needs {datum.rank} coordinates for {datum.name}, "
                          f"got {len(ns.weight)}")
-        if word is not None and any(not 1 <= i <= datum.rank for i in word):
+        if ns.word is not None and any(not 1 <= i <= datum.rank for i in ns.word):
             parser.error(f"--word letters must lie in 1..{datum.rank}")
     else:
         if len(ns.weight) != 1:
             parser.error("rank-one takes a single integer --weight")
         if ns.weight[0] < 0:
             parser.error("rank-one highest weight must be nonnegative")
-    if ns.command == "demazure" and word is None:
+    if ns.command == "demazure" and ns.word is None:
         parser.error("demazure requires --word")
     if ns.max_elements <= 0:
         parser.error(f"--max-elements must be positive, got {ns.max_elements}")
-    if ns.command in ("crystal", "demazure", "character", "verify"):
-        if any(c < 0 for c in ns.weight):
-            parser.error(f"--weight must be dominant (all coordinates >= 0), got {ns.weight}")
-    return JobSpec(
-        command=ns.command,
-        type_name=type_name,
-        weight=ns.weight,
-        word=word,
-        fmt=getattr(ns, "fmt", "text"),
-        out=ns.out,
-        max_elements=ns.max_elements,
-        inject_failure=getattr(ns, "inject_failure", False))
+    if ns.type_name is not None and any(c < 0 for c in ns.weight):
+        parser.error(f"--weight must be dominant (all coordinates >= 0), got {ns.weight}")
+    return ns
 
 
 # -- exporters ----------------------------------------------------------
@@ -186,19 +170,16 @@ def emit_text(graph, members=None):
     return ("\n".join(lines) + "\n").encode()
 
 
-def _character_payload(datum, lam, word, chi):
-    return {
-        "family": datum.family,
-        "rank": datum.rank,
-        "highest_weight": list(lam),
-        "word": list(word) if word is not None else None,
-        "character": [{"weight": list(w), "mult": m} for w, m in chi.items()],
-    }
-
-
 def emit_character(datum, lam, word, chi, fmt):
     if fmt == "json":
-        return (json.dumps(_character_payload(datum, lam, word, chi), indent=2) + "\n").encode()
+        payload = {
+            "family": datum.family,
+            "rank": datum.rank,
+            "highest_weight": list(lam),
+            "word": list(word) if word is not None else None,
+            "character": [{"weight": list(w), "mult": m} for w, m in chi.items()],
+        }
+        return (json.dumps(payload, indent=2) + "\n").encode()
     return (chi.render() + "\n").encode()
 
 
@@ -249,7 +230,7 @@ def _first_failure(subsets, check, indices):
     return True, None
 
 
-def run_verify(spec):
+def run_verify(job):
     """Run the whole combinatorial suite; returns (report rows, ok).
 
     Every Demazure subset and every Demazure character comes from one
@@ -257,11 +238,11 @@ def run_verify(spec):
     ``--inject-failure`` corrupts B_{w0} for the string and filtration
     checks only.
     """
-    datum = cartan_datum(spec.type_name)
-    graph = generate_crystal(datum, spec.weight, max_elements=spec.max_elements)
+    datum = cartan_datum(job.type_name)
+    graph = generate_crystal(datum, job.weight, max_elements=job.max_elements)
     subsets, independence = demazure_subsets(graph)
     checked = dict(subsets)
-    if spec.inject_failure:
+    if job.inject_failure:
         top_word = longest_word(datum)
         checked[top_word] = _corrupt(checked[top_word])
         log.info("injected a corrupted subset for %s", top_word)
@@ -279,7 +260,7 @@ def run_verify(spec):
 
     rows.append(("reduced-word-independence", independence is None, independence))
 
-    chars = demazure_characters(datum, spec.weight)
+    chars = demazure_characters(datum, job.weight)
     ok, witness = True, None
     for w, dc in subsets.items():
         if char_of(dc.members, graph) != chars[w]:
@@ -287,12 +268,12 @@ def run_verify(spec):
             break
     rows.append(("demazure-character-formula", ok, witness))
 
-    freudenthal = weyl_character(datum, spec.weight)
+    freudenthal = weyl_character(datum, job.weight)
     crystal_char = char_of(graph.all_ids(), graph)
     ok = crystal_char == freudenthal == chars[longest_word(datum)]
     rows.append(("weyl-character-agreement", ok, None if ok else "character mismatch"))
 
-    dim = weyl_dimension(datum, spec.weight)
+    dim = weyl_dimension(datum, job.weight)
     ok = len(graph) == dim
     rows.append(("weyl-dimension-agreement", ok,
                  None if ok else (len(graph), dim)))
@@ -300,11 +281,11 @@ def run_verify(spec):
     return rows, all(ok for _, ok, _ in rows)
 
 
-def _verify_output(spec, rows, ok):
-    if spec.fmt == "json":
+def _verify_output(job, rows, ok):
+    if job.fmt == "json":
         payload = {
-            "type": spec.type_name,
-            "weight": list(spec.weight),
+            "type": job.type_name,
+            "weight": list(job.weight),
             "checks": [{"name": name, "ok": good,
                         "witness": None if wit is None else str(wit)}
                        for name, good, wit in rows],
@@ -312,7 +293,7 @@ def _verify_output(spec, rows, ok):
         }
         return (json.dumps(payload, indent=2) + "\n").encode()
     width = max(len(name) for name, _, _ in rows)
-    lines = [f"verification suite for {spec.type_name}, weight {spec.weight}"]
+    lines = [f"verification suite for {job.type_name}, weight {job.weight}"]
     for name, good, wit in rows:
         status = "PASS" if good else f"FAIL  witness: {wit}"
         lines.append(f"  {name:<{width}}  {status}")
@@ -323,9 +304,9 @@ def _verify_output(spec, rows, ok):
 # -- driver ----------------------------------------------------------------
 
 
-def _write(spec, data):
-    if spec.out:
-        with open(spec.out, "wb") as fh:
+def _write(job, data):
+    if job.out:
+        with open(job.out, "wb") as fh:
             fh.write(data)
     else:
         sys.stdout.write(data.decode())
@@ -342,40 +323,34 @@ def _configure_logging():
         log.error("unknown CRYSTAL_LOG value %r, using 'error'", level)
 
 
+def _run(job):
+    """(exit code, output bytes) for a validated job."""
+    if job.command == "rank-one":
+        lam = job.weight[0]
+        if lam + 1 > job.max_elements:
+            raise ResourceCapError(f"V({lam}) has {lam + 1} basis elements, "
+                                   f"above the cap of {job.max_elements}")
+        return EXIT_OK, emit_rank_one(lam)
+    if job.command == "verify":
+        rows, ok = run_verify(job)
+        return EXIT_OK if ok else EXIT_VERIFY_FAILED, _verify_output(job, rows, ok)
+    datum = cartan_datum(job.type_name)
+    graph = generate_crystal(datum, job.weight, max_elements=job.max_elements)
+    members = None if job.word is None else demazure_crystal(graph, job.word).members
+    if job.command == "character":
+        chi = char_of(graph.all_ids() if members is None else members, graph)
+        return EXIT_OK, emit_character(datum, job.weight, job.word, chi, job.fmt)
+    emitter = {"json": emit_json, "dot": emit_dot, "text": emit_text}[job.fmt]
+    return EXIT_OK, emitter(graph, members)
+
+
 def main(argv=None):
     _configure_logging()
-    spec = parse_args(sys.argv[1:] if argv is None else list(argv))
+    job = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        if spec.command == "rank-one":
-            lam = spec.weight[0]
-            if lam + 1 > spec.max_elements:
-                raise ResourceCapError(f"V({lam}) has {lam + 1} basis elements, "
-                                       f"above the cap of {spec.max_elements}")
-            data = emit_rank_one(lam)
-        elif spec.command == "verify":
-            rows, ok = run_verify(spec)
-            data = _verify_output(spec, rows, ok)
-            _write(spec, data)
-            return EXIT_OK if ok else EXIT_VERIFY_FAILED
-        else:
-            datum = cartan_datum(spec.type_name)
-            if spec.command == "character":
-                graph = generate_crystal(datum, spec.weight, max_elements=spec.max_elements)
-                if spec.word is not None:
-                    members = demazure_crystal(graph, spec.word).members
-                else:
-                    members = graph.all_ids()
-                chi = char_of(members, graph)
-                data = emit_character(datum, spec.weight, spec.word, chi, spec.fmt)
-            else:
-                graph = generate_crystal(datum, spec.weight, max_elements=spec.max_elements)
-                members = None
-                if spec.command == "demazure":
-                    members = demazure_crystal(graph, spec.word).members
-                emitter = {"json": emit_json, "dot": emit_dot, "text": emit_text}[spec.fmt]
-                data = emitter(graph, members)
-        _write(spec, data)
-        return EXIT_OK
+        code, data = _run(job)
+        _write(job, data)
+        return code
     except ResourceCapError as exc:
         print(f"qcrystal: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -30,7 +30,8 @@ from fractions import Fraction
 from math import lcm
 
 from .character import weyl_dimension
-from .root_data import dominant_representative, is_dominant, positive_roots, simple_root
+from .root_data import (_check_rank, dominant_representative, is_dominant,
+                        positive_roots, simple_root)
 
 DEFAULT_MAX_ELEMENTS = 200_000
 
@@ -99,8 +100,7 @@ class LSPath:
 def straight_path(datum, lam):
     """The highest-weight element: one straight segment to lambda."""
     lam = tuple(lam)
-    if len(lam) != datum.rank:
-        raise ValueError(f"weight length {len(lam)} does not match rank {datum.rank}")
+    _check_rank(datum, lam)
     if not is_dominant(lam):
         raise ValueError(f"straight_path needs a dominant weight, got {lam}")
     return LSPath((lam,))

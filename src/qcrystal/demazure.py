@@ -170,8 +170,8 @@ def i_strings(graph, i):
     """Partition of the crystal into i-strings, in order of their tops.
 
     Raises RuntimeError when the strings' lengths do not add up to the size
-    of the crystal, or when a string walk finds a cycle: then the i-edges
-    are not those of a normal crystal.
+    of the crystal, when an element lies in two strings, or when a string
+    walk finds a cycle: then the i-edges are not those of a normal crystal.
     """
     strings, limit = [], len(graph)
     for b in graph.all_ids():
@@ -189,6 +189,12 @@ def i_strings(graph, i):
     if covered != len(graph):
         raise RuntimeError(f"the {i}-strings cover {covered} element slots of "
                            f"{len(graph)}: the {i}-edges do not form a normal crystal")
+    seen = set()
+    for b in (m for s in strings for m in s.members):
+        if b in seen:
+            raise RuntimeError(f"element {b} lies in two {i}-strings: "
+                               f"the {i}-edges do not form a normal crystal")
+        seen.add(b)
     return strings
 
 

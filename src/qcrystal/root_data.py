@@ -154,6 +154,11 @@ def is_dominant(mu):
     return all(c >= 0 for c in mu)
 
 
+def _check_rank(datum, lam):
+    if len(lam) != datum.rank:
+        raise ValueError(f"weight length {len(lam)} does not match rank {datum.rank}")
+
+
 @lru_cache(maxsize=None)
 def _element_table(datum):
     """Map w(rho) -> lexicographically smallest reduced word for w.

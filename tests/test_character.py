@@ -7,6 +7,7 @@ import pytest
 from qcrystal.character import (FormalCharacter, apply_demazure_word, char_of,
                                 demazure_operator, verify_demazure_character,
                                 weyl_character, weyl_dimension)
+from qcrystal.crystal import generate_crystal
 from qcrystal.demazure import demazure_crystal
 from qcrystal.root_data import (all_reduced_words, cartan_datum, longest_word,
                                 reflect, simple_root, weyl_group)
@@ -155,6 +156,15 @@ def test_weyl_dimension_examples():
     assert weyl_dimension(cartan_datum("A3"), (1, 0, 1)) == 15
     with pytest.raises(ValueError):
         weyl_dimension(A2, (-1, 0))
+
+
+def test_weight_oracles_reject_wrong_length():
+    # a longer weight must not lose a coordinate, nor a shorter one index past its end
+    for fn in (weyl_dimension, weyl_character, generate_crystal):
+        for lam in ((1, 1, 5), (1,)):
+            with pytest.raises(ValueError,
+                               match=f"weight length {len(lam)} does not match rank 2"):
+                fn(A2, lam)
 
 
 def test_character_total_equals_dimension():

@@ -55,6 +55,45 @@ def test_parser_is_built_on_first_use():
     assert result.stdout.split() == [b"0", b"1", b"1"], result.stderr
 
 
+JOB_FIELDS = {"command", "type_name", "weight", "word", "fmt", "out",
+              "max_elements", "inject_failure"}
+
+
+def test_every_subcommand_yields_the_same_job_fields():
+    typed = ["--type", "A2", "--weight", "1,1"]
+    jobs = {
+        "crystal": parse_args(["crystal", *typed]),
+        "demazure": parse_args(["demazure", *typed, "--word", "1"]),
+        "character": parse_args(["character", *typed]),
+        "rank-one": parse_args(["rank-one", "--weight", "3"]),
+        "verify": parse_args(["verify", *typed]),
+    }
+    for command, job in jobs.items():
+        fields = vars(job)
+        assert set(fields) == JOB_FIELDS, command
+        assert fields["command"] == command
+        assert fields["type_name"] == (None if command == "rank-one" else "A2")
+        assert fields["word"] == ((1,) if command == "demazure" else None)
+        assert (fields["fmt"], fields["out"], fields["max_elements"],
+                fields["inject_failure"]) == ("text", None, 200000, False)
+
+
+def test_format_flags_each_command_ignores(tmp_path):
+    # rank-one has one rendering; character and verify render dot as text
+    def output(*argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        return out.read_bytes()
+
+    rank_one = ("rank-one", "--weight", "3")
+    assert output(*rank_one) == output(*rank_one, "--format", "json") \
+        == output(*rank_one, "--format", "dot")
+    for command in ("character", "verify"):
+        typed = (command, "--type", "A2", "--weight", "1,1")
+        assert output(*typed, "--format", "dot") == output(*typed, "--format", "text")
+        assert output(*typed, "--format", "dot") != output(*typed, "--format", "json")
+
+
 def test_parse_args_usage_errors(capsys):
     cases = [
         ["crystal", "--type", "A2", "--weight", "1"],          # length mismatch

@@ -177,3 +177,17 @@ def test_i_strings_rejects_tampered_edges(graph_of):
         with pytest.raises(RuntimeError, match="1-strings cover"):
             i_strings(tampered, 1)
         assert len(i_strings(tampered, 2)) == len(i_strings(graph, 2))
+
+
+def test_i_strings_rejects_overlapping_strings(graph_of):
+    # 0 -> 3 -> 5 shares 3 and 5 with 2 -> 3 -> 5; dropping 6 -> 1 keeps the
+    # lengths adding up to 8, so only the overlap shows that 1 and 7 are lost
+    graph = graph_of("A2", (1, 1))
+    edges = dict(graph.edges)
+    edges[(0, 1)] = 3
+    del edges[(6, 1)]
+    for run in (lambda g: i_strings(g, 1), lambda g: string_index(g, 1)):
+        tampered = CrystalGraph(graph.datum, graph.highest_weight, graph.elements,
+                                edges, graph.denominator)
+        with pytest.raises(RuntimeError, match="element 3 lies in two 1-strings"):
+            run(tampered)
