@@ -92,6 +92,8 @@ def demazure_operator(datum, i, chi):
 
 def apply_demazure_word(datum, word, chi):
     """Compose D_{i_1} ... D_{i_n}, the rightmost letter acting first."""
+    for mu in chi._terms:
+        _check_rank(datum, mu)
     for i in reversed(word):
         chi = demazure_operator(datum, i, chi)
     return chi
@@ -105,6 +107,7 @@ def demazure_characters(datum, lam):
     s_i w, so D_w(e^lambda) = D_i(D_{s_i w}(e^lambda)) equals
     ``apply_demazure_word(datum, w, e^lambda)``.
     """
+    _check_rank(datum, lam)
     group = weyl_group(datum)
     chars = {group[0]: FormalCharacter.monomial(lam)}
     for w in group[1:]:

@@ -21,7 +21,6 @@ from .crystal import DEFAULT_MAX_ELEMENTS, ResourceCapError, generate_crystal, v
 from .demazure import (DemazureCrystal, demazure_crystal, demazure_subsets,
                        string_index, verify_filtration_structure,
                        verify_string_property)
-from .qarith import qint
 from .rank_one import RankOneModule, act_e, act_f, verify_sl2_relation
 from .root_data import cartan_datum, longest_word
 
@@ -189,13 +188,13 @@ def emit_rank_one(lam):
     lines.append("f action:")
     for k in range(m.dim):
         image = act_f(m, m.basis_vector(k))
-        desc = f"[{k + 1}] f^({k + 1})v = ({qint(k + 1)}) f^({k + 1})v" if image else "0"
+        desc = f"[{k + 1}] f^({k + 1})v = ({image[k + 1]}) f^({k + 1})v" if image else "0"
         lines.append(f"  f . f^({k})v = {desc}")
     lines.append("e action:")
     for k in range(m.dim):
         image = act_e(m, m.basis_vector(k))
         co = m.lam - k + 1
-        desc = f"[{co}] f^({k - 1})v = ({qint(co)}) f^({k - 1})v" if image else "0"
+        desc = f"[{co}] f^({k - 1})v = ({image[k - 1]}) f^({k - 1})v" if image else "0"
         lines.append(f"  e . f^({k})v = {desc}")
     lines.append("K action:")
     for k in range(m.dim):

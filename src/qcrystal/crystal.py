@@ -304,10 +304,6 @@ class CrystalGraph:
     def __len__(self):
         return len(self.elements)
 
-    @property
-    def rank(self):
-        return self.datum.rank
-
     def indices(self):
         return self.datum.indices()
 

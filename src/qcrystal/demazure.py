@@ -28,7 +28,7 @@ walk over the subset's members.
 from collections import Counter
 from dataclasses import dataclass
 
-from .root_data import (all_reduced_words, canonical_word, element_key,
+from .root_data import (_check_rank, all_reduced_words, canonical_word,
                         is_reduced, left_descents, reflect, weyl_group)
 
 
@@ -114,6 +114,7 @@ def extremal_weights(datum, lam, word):
     one is reported as an error.
     """
     lam = tuple(lam)
+    _check_rank(datum, lam)
     ladder = [(lam, None)]
     current = lam
     for i in reversed(tuple(word)):
@@ -272,11 +273,10 @@ def quotient_strings(big, small, i):
     if big.graph is not small.graph:
         raise ValueError("subsets live in different crystals")
     datum = big.graph.datum
-    if element_key(datum, big.word) == element_key(datum, small.word):
+    below = canonical_word(datum, small.word)
+    if canonical_word(datum, big.word) == below:
         return frozenset(), None  # degenerate pair, empty difference
-    lw = len(canonical_word(datum, big.word))
-    lsw = len(canonical_word(datum, small.word))
-    if lw != lsw + 1 or element_key(datum, (i,) + small.word) != element_key(datum, big.word):
+    if left_descents(datum, big.word).get(i) != below:
         raise ValueError(
             f"words {big.word} / {small.word} are not a covering pair for letter {i}")
     diff = big.members - small.members

@@ -6,7 +6,9 @@ coordinates.  Weights are plain tuples of ints in those coordinates; simple
 reflections, reduced words, dominance order and positive roots are all
 computed with exact integer or rational arithmetic.
 
-Supported types: A1..A4, B2, B3, C3, D4, G2.  G2 is oriented so that
+Supported types: A1..A4, B2, B3, C3, D4, G2, each written out with its
+symmetrizers in the one literal table ``_TYPES``; ``CartanDatum`` checks
+every entry when it is first looked up.  G2 is oriented so that
 a[1][2] = -3 (alpha_1 short, alpha_2 long); the fundamental weight omega_1
 then carries the 7-dimensional representation.
 """
@@ -18,8 +20,18 @@ from functools import lru_cache
 Weight = tuple[int, ...]
 WeylWord = tuple[int, ...]
 
-_SUPPORTED_RANKS = {"A": range(1, 5), "B": range(2, 4), "C": range(3, 4),
-                    "D": range(4, 5), "G": range(2, 3)}
+# name -> (Cartan matrix rows, symmetrizers d with d_i a_ij = d_j a_ji)
+_TYPES = {
+    "A1": (((2,),), (1,)),
+    "A2": (((2, -1), (-1, 2)), (1, 1)),
+    "A3": (((2, -1, 0), (-1, 2, -1), (0, -1, 2)), (1, 1, 1)),
+    "A4": (((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)), (1, 1, 1, 1)),
+    "B2": (((2, -1), (-2, 2)), (2, 1)),
+    "B3": (((2, -1, 0), (-1, 2, -1), (0, -2, 2)), (2, 2, 1)),
+    "C3": (((2, -1, 0), (-1, 2, -2), (0, -1, 2)), (1, 1, 2)),
+    "D4": (((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)), (1, 1, 1, 1)),
+    "G2": (((2, -3), (-1, 2)), (1, 3)),
+}
 
 
 @dataclass(frozen=True)
@@ -75,34 +87,6 @@ def _det(m):
     return total
 
 
-def _build_cartan(family, rank):
-    a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    for i in range(rank - 1):
-        a[i][i + 1] = a[i + 1][i] = -1
-    if family == "A":
-        d = [1] * rank
-    elif family == "B":
-        # last simple root short, double bond into it
-        a[rank - 1][rank - 2] = -2
-        d = [2] * (rank - 1) + [1]
-    elif family == "C":
-        # last simple root long
-        a[rank - 2][rank - 1] = -2
-        d = [1] * (rank - 1) + [2]
-    elif family == "D":
-        # node 2 is the branch point: edges 1-2, 2-3, 2-4
-        a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-        for i, j in ((0, 1), (1, 2), (1, 3)):
-            a[i][j] = a[j][i] = -1
-        d = [1] * rank
-    elif family == "G":
-        a = [[2, -3], [-1, 2]]
-        d = [1, 3]
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return tuple(tuple(row) for row in a), tuple(d)
-
-
 @lru_cache(maxsize=None)
 def cartan_datum(name):
     """Look up a supported type by name, e.g. ``cartan_datum("B2")``."""
@@ -110,11 +94,10 @@ def cartan_datum(name):
     if len(name) < 2 or not name[1:].isdigit():
         raise ValueError(f"cannot parse type name {name!r} (expected e.g. 'A2')")
     family, rank = name[0], int(name[1:])
-    if family not in _SUPPORTED_RANKS or rank not in _SUPPORTED_RANKS[family]:
-        supported = ", ".join(f"{f}{r}" for f, rs in sorted(_SUPPORTED_RANKS.items()) for r in rs)
-        raise ValueError(f"type {name} is outside the supported table ({supported})")
-    cartan, sym = _build_cartan(family, rank)
-    return CartanDatum(family, rank, cartan, sym)
+    entry = _TYPES.get(f"{family}{rank}")
+    if entry is None:
+        raise ValueError(f"type {name} is outside the supported table ({', '.join(_TYPES)})")
+    return CartanDatum(family, rank, *entry)
 
 
 def _check_index(datum, i):
@@ -192,8 +175,6 @@ def element_key(datum, word):
 
 def canonical_word(datum, word):
     """Lexicographically smallest reduced word for the element of ``word``."""
-    for i in word:
-        _check_index(datum, i)
     return _element_table(datum)[element_key(datum, word)]
 
 
@@ -214,11 +195,6 @@ def is_reduced(datum, word):
 def longest_word(datum):
     """Canonical reduced word of the longest element w_0."""
     return max(_element_table(datum).values(), key=lambda w: (len(w), w))
-
-
-def length(datum, word):
-    """Coxeter length of the element represented by ``word``."""
-    return len(canonical_word(datum, word))
 
 
 def left_descents(datum, word):
@@ -242,27 +218,18 @@ def all_reduced_words(datum, word):
 
     Enumerated by a memoized recursion over left descents, which walks the
     whole braid class: every supported type, D4 w0 with its 2316 words
-    included.
+    included.  ``left_descents`` runs in index order and each memo entry is
+    sorted, so the words come out sorted.
     """
-    table = _element_table(datum)
-    memo: dict[Weight, tuple[WeylWord, ...]] = {}
+    memo: dict[WeylWord, tuple[WeylWord, ...]] = {(): ((),)}
 
-    def rec(key):
-        if key in memo:
-            return memo[key]
-        n = len(table[key])
-        if n == 0:
-            memo[key] = ((),)
-            return memo[key]
-        words = []
-        for i in datum.indices():
-            down = reflect(datum, i, key)
-            if len(table[down]) == n - 1:
-                words.extend((i,) + u for u in rec(down))
-        memo[key] = tuple(sorted(words))
-        return memo[key]
+    def rec(w):
+        if w not in memo:
+            memo[w] = tuple((i,) + u for i, v in left_descents(datum, w).items()
+                            for u in rec(v))
+        return memo[w]
 
-    return rec(element_key(datum, word))
+    return rec(canonical_word(datum, word))
 
 
 def _solve_root_coords(datum, mu):
@@ -351,5 +318,4 @@ def dominant_representative(datum, mu):
 
 def supported_types():
     """Names of every type in the embedded table."""
-    return tuple(f"{fam}{r}" for fam, ranks in sorted(_SUPPORTED_RANKS.items())
-                 for r in ranks)
+    return tuple(_TYPES)

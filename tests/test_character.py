@@ -5,10 +5,11 @@ import random
 import pytest
 
 from qcrystal.character import (FormalCharacter, apply_demazure_word, char_of,
-                                demazure_operator, verify_demazure_character,
-                                weyl_character, weyl_dimension)
+                                demazure_characters, demazure_operator,
+                                verify_demazure_character, weyl_character,
+                                weyl_dimension)
 from qcrystal.crystal import generate_crystal
-from qcrystal.demazure import demazure_crystal
+from qcrystal.demazure import demazure_crystal, extremal_weights
 from qcrystal.root_data import (all_reduced_words, cartan_datum, longest_word,
                                 reflect, simple_root, weyl_group)
 
@@ -165,6 +166,18 @@ def test_weight_oracles_reject_wrong_length():
             with pytest.raises(ValueError,
                                match=f"weight length {len(lam)} does not match rank 2"):
                 fn(A2, lam)
+
+
+def test_demazure_entry_points_reject_wrong_length():
+    # neither drop a coordinate of a longer weight nor index past a shorter one
+    entry_points = (lambda lam: demazure_characters(A2, lam),
+                    lambda lam: apply_demazure_word(A2, (1, 2, 1), FormalCharacter.monomial(lam)),
+                    lambda lam: extremal_weights(A2, lam, (1, 2, 1)))
+    for fn in entry_points:
+        for lam in ((1, 1, 5), (1,)):
+            with pytest.raises(ValueError,
+                               match=f"weight length {len(lam)} does not match rank 2"):
+                fn(lam)
 
 
 def test_character_total_equals_dimension():

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from qcrystal import cli
 from qcrystal.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                           EXIT_VERIFY_FAILED, EXIT_WRITE, emit_dot, emit_json,
                           main, parse_args)
@@ -225,6 +226,19 @@ def test_rank_one_command():
     assert "K . f^(0)v = q^3 f^(0)v" in out
     assert "crystal chain: 0 -> 1 -> 2 -> 3" in out
     assert "sl2 relation" in out and "ok" in out
+
+
+def test_rank_one_table_prints_the_computed_actions(monkeypatch):
+    # the table shows what act_f / act_e returned, not a coefficient rebuilt beside them
+    def doubled(act):
+        return lambda m, v: {k: c + c for k, c in act(m, v).items()}
+
+    monkeypatch.setattr(cli, "act_f", doubled(cli.act_f))
+    monkeypatch.setattr(cli, "act_e", doubled(cli.act_e))
+    out = cli.emit_rank_one(3).decode()
+    assert "f . f^(1)v = [2] f^(2)v = (2q + 2q^-1) f^(2)v" in out
+    assert "e . f^(1)v = [3] f^(0)v = (2q^2 + 2 + 2q^-2) f^(0)v" in out
+    assert "f . f^(3)v = 0" in out and "e . f^(0)v = 0" in out
 
 
 # sha256 of the exact bytes of ``rank-one --weight N``, recorded before the

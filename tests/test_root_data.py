@@ -1,6 +1,8 @@
 """Cartan data, reflections, Weyl groups, reduced words, dominance."""
 
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -29,6 +31,17 @@ def test_cartan_matrices_pinned():
     assert cartan_datum("G2").cartan == ((2, -3), (-1, 2))
     d4 = cartan_datum("D4").cartan
     assert d4[1] == (-1, 2, -1, -1) and d4[0][2] == 0 and d4[2][3] == 0
+
+
+def test_readme_cartan_table_is_the_code_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| ([A-Z]\d) \| `([^`]+)` \| `\(([^`]+)\)` \|$", readme, re.M)
+    assert [name for name, _, _ in rows] == list(supported_types())
+    for name, matrix, sym in rows:
+        cartan = tuple(tuple(int(x) for x in row.split(","))
+                       for row in re.findall(r"\[([^\]]+)\]", matrix))
+        d = cartan_datum(name)
+        assert (d.cartan, d.sym) == (cartan, tuple(int(x) for x in sym.split(","))), name
 
 
 def test_symmetrizer_identity():
