@@ -1,12 +1,17 @@
 """Command-line front end.
 
 Subcommands: crystal, demazure, character, rank-one, verify.  The job is
-the argparse namespace that ``parse_args`` validates; ``_run`` turns it
-into an exit code and the output bytes, which ``main`` writes.  Output is
-deterministic byte for byte: element ids are BFS order, edges and members
-are emitted sorted, and JSON key order is fixed.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 output write failure, 4 resource
-cap exceeded.  Set CRYSTAL_LOG to error, info or debug to adjust logging.
+the argparse namespace that ``parse_args`` validates; ``_run`` does all
+the work that can fail and returns an exit code and a producer, which
+``_write`` points at the ``--out`` file or at stdout's binary buffer.
+Output is written chunk by chunk: the crystal emitters format one element
+or edge at a time, so no full document is held in memory, and nothing is
+decoded on the way out.  Output is deterministic byte for byte: element
+ids are BFS order, edges and members are emitted sorted, and JSON key
+order is fixed.  Exit codes: 0 success, 1 verification failure, 2 usage
+error, 3 output write failure (also when a reader closes stdout early),
+4 resource cap exceeded.  Set CRYSTAL_LOG to error, info or debug to
+adjust logging.
 """
 
 import argparse
@@ -15,6 +20,7 @@ import json
 import logging
 import os
 import sys
+from itertools import islice
 
 from .character import char_of, demazure_characters, weyl_character, weyl_dimension
 from .crystal import DEFAULT_MAX_ELEMENTS, ResourceCapError, generate_crystal, verify_normal
@@ -113,60 +119,111 @@ def parse_args(argv):
 # -- exporters ----------------------------------------------------------
 
 
-def _sorted_edges(graph):
-    return sorted(graph.edges.items())
+#: Pieces (one element, edge or line each) joined into one chunk of output.
+_CHUNK_PIECES = 2000
 
 
-def emit_json(graph, members=None):
-    """Deterministic JSON for a crystal or a Demazure subset of it."""
-    payload = {
-        "family": graph.datum.family,
-        "rank": graph.datum.rank,
-        "highest_weight": list(graph.highest_weight),
-        "elements": [
-            {"id": b,
-             "weight": list(graph.weight(b)),
-             "eps": [graph.eps(b, i) for i in graph.indices()],
-             "phi": [graph.phi(b, i) for i in graph.indices()]}
-            for b in graph.all_ids()],
-        "edges": [
-            {"from": b, "to": child, "i": i}
-            for (b, i), child in _sorted_edges(graph)],
-    }
+def _emit(pieces, write):
+    """Hand the pieces to ``write`` as bytes, ``_CHUNK_PIECES`` per chunk.
+
+    With ``write`` None the chunks are collected and their bytes returned.
+    """
+    if write is None:
+        chunks = []
+        _emit(pieces, chunks.append)
+        return b"".join(chunks)
+    pieces = iter(pieces)
+    while batch := list(islice(pieces, _CHUNK_PIECES)):
+        write("".join(batch).encode())
+    return None
+
+
+def _json_ints(values, indent):
+    """A list of ints laid out as ``json.dumps(indent=2)`` lays it out at ``indent``."""
+    if not values:
+        return "[]"
+    inner = "\n" + " " * (indent + 2)
+    return "[" + inner + ("," + inner).join(map(str, values)) + "\n" + " " * indent + "]"
+
+
+def _json_pieces(graph, members):
+    indices = graph.indices()
+    yield (f'{{\n  "family": {json.dumps(graph.datum.family)},\n'
+           f'  "rank": {graph.datum.rank},\n'
+           f'  "highest_weight": {_json_ints(graph.highest_weight, 2)},\n'
+           f'  "elements": [')
+    for b in graph.all_ids():
+        yield (f'{"," if b else ""}\n    {{\n      "id": {b},\n'
+               f'      "weight": {_json_ints(graph.weight(b), 6)},\n'
+               f'      "eps": {_json_ints([graph.eps(b, i) for i in indices], 6)},\n'
+               f'      "phi": {_json_ints([graph.phi(b, i) for i in indices], 6)}\n    }}')
+    yield '\n  ],\n  "edges": ['
+    edges = graph.edges
+    for n, (b, i) in enumerate(sorted(edges)):
+        yield (f'{"," if n else ""}\n    {{\n      "from": {b},\n'
+               f'      "to": {edges[b, i]},\n      "i": {i}\n    }}')
+    yield "\n  ]" if edges else "]"  # json.dumps writes an empty list as []
     if members is not None:
-        payload["members"] = sorted(members)
-    return (json.dumps(payload, indent=2) + "\n").encode()
+        yield f',\n  "members": {_json_ints(sorted(members), 2)}'
+    yield "\n}\n"
 
 
-def emit_dot(graph, members=None):
-    """Deterministic DOT digraph, nodes labeled by weight, edges by index."""
-    lines = ["digraph crystal {", "  rankdir=TB;"]
+def emit_json(graph, members=None, write=None):
+    """Deterministic JSON for a crystal or a Demazure subset of it.
+
+    The layout is that of ``json.dumps(indent=2)``, formatted one element
+    or edge at a time.  The bytes go to ``write`` in chunks, or are
+    returned whole when ``write`` is None.
+    """
+    return _emit(_json_pieces(graph, members), write)
+
+
+def _dot_pieces(graph, members):
+    yield "digraph crystal {\n  rankdir=TB;\n"
     for b in graph.all_ids():
         label = "(" + ", ".join(str(c) for c in graph.weight(b)) + ")"
         extra = ", peripheries=2" if members is not None and b in members else ""
-        lines.append(f'  n{b} [label="{label}"{extra}];')
-    for (b, i), child in _sorted_edges(graph):
-        lines.append(f'  n{b} -> n{child} [label="{i}"];')
-    lines.append("}")
-    return ("\n".join(lines) + "\n").encode()
+        yield f'  n{b} [label="{label}"{extra}];\n'
+    edges = graph.edges
+    for b, i in sorted(edges):
+        yield f'  n{b} -> n{edges[b, i]} [label="{i}"];\n'
+    yield "}\n"
 
 
-def emit_text(graph, members=None):
+def emit_dot(graph, members=None, write=None):
+    """Deterministic DOT digraph, nodes labeled by weight, edges by index.
+
+    Bytes go to ``write`` in chunks, or are returned whole when it is None.
+    """
+    return _emit(_dot_pieces(graph, members), write)
+
+
+def _text_pieces(graph, members):
+    indices = graph.indices()
     name = graph.datum.name
     lam = ", ".join(str(c) for c in graph.highest_weight)
-    lines = [f"crystal {name} highest weight ({lam}): {len(graph)} elements"]
+    head = f"crystal {name} highest weight ({lam}): {len(graph)} elements"
     if members is not None:
-        lines[0] += f", subset of size {len(members)}"
+        head += f", subset of size {len(members)}"
+    yield head + "\n"
     for b in graph.all_ids():
         mark = "*" if members is not None and b in members else " "
         wt = ", ".join(str(c) for c in graph.weight(b))
-        eps = ", ".join(str(graph.eps(b, i)) for i in graph.indices())
-        phi = ", ".join(str(graph.phi(b, i)) for i in graph.indices())
-        lines.append(f"{mark}{b:>4}  weight=({wt})  eps=({eps})  phi=({phi})")
-    lines.append("edges:")
-    for (b, i), child in _sorted_edges(graph):
-        lines.append(f"  {b} -{i}-> {child}")
-    return ("\n".join(lines) + "\n").encode()
+        eps = ", ".join(str(graph.eps(b, i)) for i in indices)
+        phi = ", ".join(str(graph.phi(b, i)) for i in indices)
+        yield f"{mark}{b:>4}  weight=({wt})  eps=({eps})  phi=({phi})\n"
+    yield "edges:\n"
+    edges = graph.edges
+    for b, i in sorted(edges):
+        yield f"  {b} -{i}-> {edges[b, i]}\n"
+
+
+def emit_text(graph, members=None, write=None):
+    """One line per element, then one per edge.
+
+    Bytes go to ``write`` in chunks, or are returned whole when it is None.
+    """
+    return _emit(_text_pieces(graph, members), write)
 
 
 def emit_character(datum, lam, word, chi, fmt):
@@ -303,13 +360,27 @@ def _verify_output(job, rows, ok):
 # -- driver ----------------------------------------------------------------
 
 
-def _write(job, data):
+def _write(job, produce):
+    """Open the output and let ``produce`` write its bytes there, chunk by chunk."""
     if job.out:
         with open(job.out, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data.decode())
-        sys.stdout.flush()
+            produce(fh.write)
+        return
+    sys.stdout.flush()
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text stream with no bytes beneath, such as io.StringIO
+        produce(lambda chunk: sys.stdout.write(chunk.decode()))
+        return
+    try:
+        produce(out.write)
+        out.flush()
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so that the flush
+        # at interpreter exit does not raise the same error again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        raise
 
 
 def _configure_logging():
@@ -323,32 +394,39 @@ def _configure_logging():
 
 
 def _run(job):
-    """(exit code, output bytes) for a validated job."""
+    """(exit code, produce) for a validated job.
+
+    Everything that can fail runs here, before any output is opened;
+    ``produce(write)`` then hands the output bytes to ``write``.
+    """
     if job.command == "rank-one":
         lam = job.weight[0]
         if lam + 1 > job.max_elements:
             raise ResourceCapError(f"V({lam}) has {lam + 1} basis elements, "
                                    f"above the cap of {job.max_elements}")
-        return EXIT_OK, emit_rank_one(lam)
+        data = emit_rank_one(lam)
+        return EXIT_OK, lambda write: write(data)
     if job.command == "verify":
         rows, ok = run_verify(job)
-        return EXIT_OK if ok else EXIT_VERIFY_FAILED, _verify_output(job, rows, ok)
+        data = _verify_output(job, rows, ok)
+        return EXIT_OK if ok else EXIT_VERIFY_FAILED, lambda write: write(data)
     datum = cartan_datum(job.type_name)
     graph = generate_crystal(datum, job.weight, max_elements=job.max_elements)
     members = None if job.word is None else demazure_crystal(graph, job.word).members
     if job.command == "character":
         chi = char_of(graph.all_ids() if members is None else members, graph)
-        return EXIT_OK, emit_character(datum, job.weight, job.word, chi, job.fmt)
+        data = emit_character(datum, job.weight, job.word, chi, job.fmt)
+        return EXIT_OK, lambda write: write(data)
     emitter = {"json": emit_json, "dot": emit_dot, "text": emit_text}[job.fmt]
-    return EXIT_OK, emitter(graph, members)
+    return EXIT_OK, functools.partial(emitter, graph, members)
 
 
 def main(argv=None):
     _configure_logging()
     job = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        code, data = _run(job)
-        _write(job, data)
+        code, produce = _run(job)
+        _write(job, produce)
         return code
     except ResourceCapError as exc:
         print(f"qcrystal: {exc}", file=sys.stderr)

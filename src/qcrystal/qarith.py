@@ -15,7 +15,8 @@ above min(len a, len b) * max|a_i| * max|b_j|, a bound on every product
 coefficient, so no digit carries into the next and the result is exact.
 When one factor has at most ``_SCHOOLBOOK_MAX_TERMS`` terms the product
 is summed term by term instead: that is faster than packing the other
-factor into an int (measured crossover, see CHANGES.md).
+factor into an int (measured crossover, see CHANGES.md).  A one-term
+factor c q^e is only a shift by e and a scale by c.
 """
 
 import sys
@@ -123,6 +124,11 @@ class LaurentPoly(SparseMap):
         if other is None:
             return NotImplemented
         a, b = self._terms, other._terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:  # c q^e times b: a shift and a scale
+            ((e1, c1),) = a.items()
+            return LaurentPoly._new({e1 + e2: c1 * c2 for e2, c2 in b.items()})
         if min(len(a), len(b)) > _SCHOOLBOOK_MAX_TERMS:
             return LaurentPoly._new(_kronecker_product(a, b))
         out: dict[int, int] = {}

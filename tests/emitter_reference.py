@@ -1,0 +1,63 @@
+"""Reference crystal emitters: the whole document built in memory at once.
+
+These are the builders that the streamed ``cli.emit_json``, ``emit_dot``
+and ``emit_text`` replaced: a dict payload through ``json.dumps(indent=2)``
+and list-joined lines.  They share no formatting code with the emitters
+they check.  Kept for the differential tests only.
+"""
+
+import json
+
+
+def _sorted_edges(graph):
+    return sorted(graph.edges.items())
+
+
+def reference_json(graph, members=None):
+    payload = {
+        "family": graph.datum.family,
+        "rank": graph.datum.rank,
+        "highest_weight": list(graph.highest_weight),
+        "elements": [
+            {"id": b,
+             "weight": list(graph.weight(b)),
+             "eps": [graph.eps(b, i) for i in graph.indices()],
+             "phi": [graph.phi(b, i) for i in graph.indices()]}
+            for b in graph.all_ids()],
+        "edges": [
+            {"from": b, "to": child, "i": i}
+            for (b, i), child in _sorted_edges(graph)],
+    }
+    if members is not None:
+        payload["members"] = sorted(members)
+    return (json.dumps(payload, indent=2) + "\n").encode()
+
+
+def reference_dot(graph, members=None):
+    lines = ["digraph crystal {", "  rankdir=TB;"]
+    for b in graph.all_ids():
+        label = "(" + ", ".join(str(c) for c in graph.weight(b)) + ")"
+        extra = ", peripheries=2" if members is not None and b in members else ""
+        lines.append(f'  n{b} [label="{label}"{extra}];')
+    for (b, i), child in _sorted_edges(graph):
+        lines.append(f'  n{b} -> n{child} [label="{i}"];')
+    lines.append("}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def reference_text(graph, members=None):
+    name = graph.datum.name
+    lam = ", ".join(str(c) for c in graph.highest_weight)
+    lines = [f"crystal {name} highest weight ({lam}): {len(graph)} elements"]
+    if members is not None:
+        lines[0] += f", subset of size {len(members)}"
+    for b in graph.all_ids():
+        mark = "*" if members is not None and b in members else " "
+        wt = ", ".join(str(c) for c in graph.weight(b))
+        eps = ", ".join(str(graph.eps(b, i)) for i in graph.indices())
+        phi = ", ".join(str(graph.phi(b, i)) for i in graph.indices())
+        lines.append(f"{mark}{b:>4}  weight=({wt})  eps=({eps})  phi=({phi})")
+    lines.append("edges:")
+    for (b, i), child in _sorted_edges(graph):
+        lines.append(f"  {b} -{i}-> {child}")
+    return ("\n".join(lines) + "\n").encode()

@@ -160,6 +160,23 @@ def test_product_matches_schoolbook(a, b):
     assert (b * a).items() == schoolbook_items(b, a)
 
 
+# One-term factors c q^e (c = 0 is the zero polynomial), as polynomials or
+# as ints, on either side of a product with any polynomial.
+unit_coefficients = st.sampled_from([0, 1, -1])
+one_term_polys = st.builds(
+    lambda e, c: LaurentPoly({e: c}), st.integers(-100, 100),
+    st.one_of(unit_coefficients, st.integers(-10**40, 10**40)))
+one_term_operands = st.one_of(one_term_polys, unit_coefficients,
+                              st.integers(-10**40, 10**40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_term_operands, st.one_of(wide_polys, one_term_polys))
+def test_one_term_product_matches_schoolbook(a, b):
+    assert (a * b).items() == schoolbook_items(a, b)
+    assert (b * a).items() == schoolbook_items(b, a)
+
+
 def test_product_edge_cases():
     dense = LaurentPoly({e: 1 for e in range(-50, 50)})
     cases = [
