@@ -14,12 +14,11 @@ consequence of the underlying vanishing theory, not a proof of it.
 """
 
 import itertools
-from fractions import Fraction
 
 from .demazure import demazure_crystal
-from .root_data import (_check_rank, dominant_representative, is_dominant,
-                        positive_roots, root_coords, root_weight_coords,
-                        simple_root, weyl_group, weyl_orbit)
+from .root_data import (_check_rank, _coroots, dominant_representative,
+                        is_dominant, positive_roots, root_coords,
+                        root_weight_coords, simple_root, weyl_group, weyl_orbit)
 from .sparse import SparseMap
 
 
@@ -136,24 +135,22 @@ def verify_demazure_character(graph, lam, word):
 def weyl_dimension(datum, lam):
     """Weyl dimension product over positive roots, as an exact integer.
 
-    Each factor is <lam + rho, alpha^vee> / <rho, alpha^vee>; with alpha
-    written over the simple roots the pairing reduces to an integer sum
-    against the symmetrizers, and the root-length normalizer cancels in
-    the ratio.
+    Each factor is <lam + rho, beta^vee> / <rho, beta^vee>, read off the
+    coroot table ``root_data._coroots`` as dot products; the numerators
+    and the denominators are multiplied as ints and divided once.
     """
     lam = tuple(lam)
     _check_rank(datum, lam)
     if not is_dominant(lam):
         raise ValueError(f"dimension formula needs a dominant weight, got {lam}")
-    d = datum.sym
-    acc = Fraction(1)
-    for r in positive_roots(datum):
-        num = sum(r[j] * d[j] * (lam[j] + 1) for j in range(datum.rank))
-        den = sum(r[j] * d[j] for j in range(datum.rank))
-        acc *= Fraction(num, den)
-    if acc.denominator != 1:
+    num = den = 1
+    for coroot in _coroots(datum):
+        num *= sum(c * (x + 1) for c, x in zip(coroot, lam))
+        den *= sum(coroot)
+    dim, rem = divmod(num, den)
+    if rem:
         raise ArithmeticError("non-integral Weyl dimension: root enumeration bug")
-    return int(acc)
+    return dim
 
 
 def weyl_character(datum, lam):

@@ -113,6 +113,8 @@ def parse_args(argv):
         parser.error(f"--max-elements must be positive, got {ns.max_elements}")
     if ns.type_name is not None and any(c < 0 for c in ns.weight):
         parser.error(f"--weight must be dominant (all coordinates >= 0), got {ns.weight}")
+    if ns.inject_failure and not any(ns.weight):
+        parser.error("--inject-failure needs a nonzero --weight: B(0) has no string to corrupt")
     return ns
 
 

@@ -30,8 +30,8 @@ from fractions import Fraction
 from math import lcm
 
 from .character import weyl_dimension
-from .root_data import (_check_rank, dominant_representative, is_dominant,
-                        positive_roots, simple_root)
+from .root_data import (_check_rank, _coroots, dominant_representative,
+                        is_dominant, simple_root)
 
 DEFAULT_MAX_ELEMENTS = 200_000
 
@@ -115,18 +115,11 @@ def straight_path(datum, lam):
 def _denominator(datum, lam):
     """lcm of the nonzero <lam, beta^vee> over the positive roots beta (1 if none).
 
-    For beta = sum_i c_i alpha_i, beta^vee = sum_i (c_i d_i / d_beta) h_i
-    with d_beta = (beta, beta) / 2 in the symmetrizer scale d of the datum.
+    Each pairing is a dot product with a row of the coroot table
+    ``root_data._coroots``.
     """
-    a, d, n = datum.cartan, datum.sym, datum.rank
-    denom = 1
-    for root in positive_roots(datum):
-        d_beta = sum(root[i] * root[j] * d[i] * a[i][j]
-                     for i in range(n) for j in range(n)) // 2
-        pairing = sum(lam[i] * root[i] * d[i] for i in range(n)) // d_beta
-        if pairing:
-            denom = lcm(denom, pairing)
-    return denom
+    return lcm(*filter(None, (sum(x * c for x, c in zip(lam, coroot))
+                              for coroot in _coroots(datum))))
 
 
 def _heights(steps, i0, denom):
@@ -346,7 +339,9 @@ def generate_crystal(datum, lam, max_elements=DEFAULT_MAX_ELEMENTS):
         raise ResourceCapError(
             f"B({lam}) for {datum.name} has {projected} elements, "
             f"above the cap of {max_elements}")
-    denom, top = _on_grid(datum, straight_path(datum, lam))
+    # the straight path to lam, on the grid of its own shape
+    denom = _denominator(datum, lam)
+    top = (tuple(denom * x for x in lam),) if any(lam) else ()
     roots = [(i, i - 1, simple_root(datum, i)) for i in datum.indices()]
     paths = [top]
     ids = {top: 0}

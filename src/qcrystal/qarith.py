@@ -13,20 +13,14 @@ CPython's own integer product, and the coefficients are read back as
 signed bits-wide digits.  ``bits`` is a multiple of 8 with 2^(bits-1)
 above min(len a, len b) * max|a_i| * max|b_j|, a bound on every product
 coefficient, so no digit carries into the next and the result is exact.
-When one factor has at most ``_SCHOOLBOOK_MAX_TERMS`` terms the product
-is summed term by term instead: that is faster than packing the other
-factor into an int (measured crossover, see CHANGES.md).  A one-term
-factor c q^e is only a shift by e and a scale by c.
+Every product goes that way except one with a one-term factor c q^e,
+which is only a shift by e and a scale by c.
 """
 
 import sys
 from functools import lru_cache
 
 from .sparse import SparseMap
-
-#: A product whose shorter factor has at most this many terms is summed term
-#: by term; with longer factors one big-int product is faster.
-_SCHOOLBOOK_MAX_TERMS = 3
 
 #: memoryview formats of 1-, 2-, 4- and 8-byte unsigned digits.
 _DIGIT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -129,24 +123,9 @@ class LaurentPoly(SparseMap):
         if len(a) == 1:  # c q^e times b: a shift and a scale
             ((e1, c1),) = a.items()
             return LaurentPoly._new({e1 + e2: c1 * c2 for e2, c2 in b.items()})
-        if min(len(a), len(b)) > _SCHOOLBOOK_MAX_TERMS:
-            return LaurentPoly._new(_kronecker_product(a, b))
-        out: dict[int, int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly._new(out)
+        return LaurentPoly._new(_kronecker_product(a, b) if a and b else {})
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = LaurentPoly({0: 1})
-        for _ in range(n):
-            out = out * self
-        return out
 
     def shift(self, n):
         """Multiply by q^n."""
@@ -154,27 +133,29 @@ class LaurentPoly(SparseMap):
 
     def exact_div(self, other):
         """Exact quotient self / other; raises ExactDivisionError otherwise."""
-        other = self._coerce(other)
-        if other is None or not other:
+        divisor = self._coerce(other)
+        if divisor is None:
+            raise TypeError(f"cannot divide a LaurentPoly by {type(other).__name__!r}")
+        if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
         if not self:
             return LaurentPoly()
         # Lowest possible quotient exponent; anything below means inexact.
-        floor = self.min_exp() - other.min_exp()
-        dmax = other.max_exp()
-        dlead = other._terms[dmax]
+        floor = self.min_exp() - divisor.min_exp()
+        dmax = divisor.max_exp()
+        dlead = divisor._terms[dmax]
         rem = dict(self._terms)
         quo: dict[int, int] = {}
         while rem:
             rmax = max(rem)
             shift = rmax - dmax
             if shift < floor:
-                raise ExactDivisionError(f"{self} is not divisible by {other}")
+                raise ExactDivisionError(f"{self} is not divisible by {divisor}")
             c, r = divmod(rem[rmax], dlead)
             if r:
-                raise ExactDivisionError(f"{self} is not divisible by {other}")
+                raise ExactDivisionError(f"{self} is not divisible by {divisor}")
             quo[shift] = quo.get(shift, 0) + c
-            for e, d in other._terms.items():
+            for e, d in divisor._terms.items():
                 e2 = e + shift
                 v = rem.get(e2, 0) - c * d
                 if v:

@@ -3,8 +3,8 @@
 Cartan matrices follow the convention a[i][j] = <h_i, alpha_j>, so the j-th
 column of the matrix is the simple root alpha_j written in fundamental-weight
 coordinates.  Weights are plain tuples of ints in those coordinates; simple
-reflections, reduced words, dominance order and positive roots are all
-computed with exact integer or rational arithmetic.
+reflections, reduced words, dominance order, positive roots and their
+coroots are all computed with exact integer or rational arithmetic.
 
 Supported types: A1..A4, B2, B3, C3, D4, G2, each written out with its
 symmetrizers in the one literal table ``_TYPES``; ``CartanDatum`` checks
@@ -91,9 +91,11 @@ def _det(m):
 def cartan_datum(name):
     """Look up a supported type by name, e.g. ``cartan_datum("B2")``."""
     name = name.strip().upper()
-    if len(name) < 2 or not name[1:].isdigit():
+    digits = name[1:]
+    # isdigit alone admits digits that int() refuses ('²') or reads ('٣')
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"cannot parse type name {name!r} (expected e.g. 'A2')")
-    family, rank = name[0], int(name[1:])
+    family, rank = name[0], int(digits)
     entry = _TYPES.get(f"{family}{rank}")
     if entry is None:
         raise ValueError(f"type {name} is outside the supported table ({', '.join(_TYPES)})")
@@ -284,6 +286,24 @@ def positive_roots(datum):
     positives = sorted(r for r in roots if all(c >= 0 for c in r))
     assert 2 * len(positives) == len(roots)
     return tuple(positives)
+
+
+@lru_cache(maxsize=None)
+def _coroots(datum):
+    """beta^vee for each positive root beta, as int coordinates over the h_i.
+
+    For beta = sum_i c_i alpha_i, beta^vee = sum_i (c_i d_i / d_beta) h_i
+    with d_beta = (beta, beta) / 2 in the symmetrizer scale d of the datum;
+    in finite type every coroot is an integer sum of the simple coroots.
+    The pairing <mu, beta^vee> is then the dot product of mu with the row.
+    """
+    a, d, n = datum.cartan, datum.sym, datum.rank
+    rows = []
+    for root in positive_roots(datum):
+        d_beta = sum(root[i] * root[j] * d[i] * a[i][j]
+                     for i in range(n) for j in range(n)) // 2
+        rows.append(tuple(c * di // d_beta for c, di in zip(root, d)))
+    return tuple(rows)
 
 
 def root_weight_coords(datum, root):

@@ -1,7 +1,7 @@
 """Reference Laurent product: one dict update per pair of terms.
 
 This is the term-by-term product that ``LaurentPoly.__mul__`` replaced by
-Kronecker substitution for factors of more than a few terms.  It works on
+Kronecker substitution for every product without a one-term factor.  It works on
 the ``items()`` of its operands and returns items, so it shares no code
 with the product it checks.  Kept for the differential tests only.
 """

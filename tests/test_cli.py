@@ -190,6 +190,27 @@ def test_verify_exit_codes():
     assert b"string-property" in bad.stdout and b"witness" in bad.stdout
 
 
+def test_inject_failure_at_zero_weight_is_a_usage_error():
+    # B(0) has no i-string to corrupt: refused up front, without a traceback
+    for type_name, weight in (("A1", "0"), ("B2", "0,0")):
+        result = run_cli("verify", "--type", type_name, "--weight", weight, "--inject-failure")
+        assert result.returncode == EXIT_USAGE
+        assert result.stdout == b""
+        assert b"Traceback" not in result.stderr
+        lines = result.stderr.decode().splitlines()
+        assert [ln for ln in lines if ln.startswith("qcrystal")] == [
+            "qcrystal: error: --inject-failure needs a nonzero --weight: "
+            "B(0) has no string to corrupt"]
+
+
+def test_non_ascii_digits_in_a_type_name_are_a_usage_error():
+    for name in ("A²", "A٣"):
+        result = run_cli("crystal", "--type", name, "--weight", "1")
+        assert result.returncode == EXIT_USAGE
+        assert f"cannot parse type name {name!r}".encode() in result.stderr
+        assert b"invalid literal" not in result.stderr
+
+
 def test_verify_json_report():
     result = run_cli("verify", "--type", "A2", "--weight", "1,1",
                      "--format", "json")

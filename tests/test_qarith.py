@@ -108,6 +108,21 @@ def test_exact_division_guards():
     assert (qint(2) * qint(5)).exact_div(qint(5)) == qint(2)
 
 
+def test_exact_division_rejects_non_polynomials():
+    # as for products, an operand that is neither a LaurentPoly nor an int
+    # is a type error, not a division by zero
+    for divisor in (2.0, "x", None, [1]):
+        with pytest.raises(TypeError, match="cannot divide a LaurentPoly"):
+            qint(3).exact_div(divisor)
+        with pytest.raises(TypeError):
+            qint(3) * divisor
+    for divisor in (0, zero, LaurentPoly()):
+        with pytest.raises(ZeroDivisionError, match="division by zero polynomial"):
+            qint(3).exact_div(divisor)
+    assert (qint(2) * 3).exact_div(3) == qint(2)
+    assert zero.exact_div(-1) == zero
+
+
 def test_qfact_growth_is_exact():
     # [10]! has unit leading coefficient and degree 45 on each side
     f = qfact(10)
@@ -142,9 +157,9 @@ def test_constants_hash_like_the_ints_they_equal():
 
 # -- Kronecker products against the term-by-term reference -----------------
 
-# Up to 40 terms over exponents -100..100, so both the short-factor
-# branch and the Kronecker branch run; coefficients up to 10^40 reach
-# every digit width, including the one past 8 bytes.
+# Up to 40 terms over exponents -100..100, so both the one-term shift
+# and the Kronecker product run; coefficients up to 10^40 reach every
+# digit width, including the one past 8 bytes.
 wide_polys = st.builds(
     LaurentPoly,
     st.dictionaries(st.integers(-100, 100),

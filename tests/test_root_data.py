@@ -65,6 +65,14 @@ def test_invalid_data_rejected():
         cartan_datum("A9")
 
 
+def test_type_names_take_ascii_digits_only():
+    assert cartan_datum("a02") == cartan_datum(" A2 ") == cartan_datum("A2")
+    # '²' passes str.isdigit but not int(); '٣' is read by int() as 3
+    for name in ("A²", "A٣", "B²", "D٤", "A"):
+        with pytest.raises(ValueError, match="cannot parse type name"):
+            cartan_datum(name)
+
+
 def test_simple_root_examples():
     assert simple_root(cartan_datum("A1"), 1) == (2,)
     assert simple_root(cartan_datum("A2"), 1) == (2, -1)
