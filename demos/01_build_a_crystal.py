@@ -30,10 +30,10 @@ while (nxt := graph.f(b, 1)) is not None:
     chain.append(b)
 print("the 1-string through the top:", " -> ".join(map(str, chain)))
 
-# The same walk at the path level.  A crystal stores its paths as int
-# steps over one common denominator (graph.denominator); an LSPath shows
-# them as exact Fraction displacement vectors, and weights are their
-# integral endpoints.
+# The same walk at the path level.  A crystal stores its paths as
+# (orbit index, length) int pairs over one common denominator
+# (graph.denominator); an LSPath shows them as exact Fraction displacement
+# vectors, and weights are their integral endpoints.
 path = qc.straight_path(datum, lam)
 print("\nstraight path:", path)
 lowered = qc.f_tilde(datum, 2, qc.f_tilde(datum, 1, path))

@@ -8,8 +8,8 @@ checks the resulting combinatorics against independent character oracles
 operators on the group algebra of the weight lattice).  A rank-one
 quantized module over Z[q, q^-1] with exact divided-power actions serves
 as a brute-force crosscheck.  Everything is exact: Laurent polynomials
-with int coefficients and crystal paths as int steps over one common
-denominator per crystal, no floats anywhere.
+with int coefficients and crystal paths as (orbit index, length) int
+pairs over one common denominator per crystal, no floats anywhere.
 """
 
 from .character import (FormalCharacter, apply_demazure_word, char_of,
@@ -17,8 +17,9 @@ from .character import (FormalCharacter, apply_demazure_word, char_of,
                         verify_demazure_character, weyl_character,
                         weyl_dimension)
 from .crystal import (DEFAULT_MAX_ELEMENTS, CrystalElement, CrystalGraph,
-                      LSPath, ResourceCapError, e_tilde, eps_phi, f_tilde,
-                      generate_crystal, straight_path, verify_normal)
+                      LSPath, PathKernelError, ResourceCapError, e_tilde,
+                      eps_phi, f_tilde, generate_crystal, straight_path,
+                      verify_normal)
 from .demazure import (DemazureCrystal, IString, demazure_crystal,
                        demazure_subsets, extremal_element, extremal_weights,
                        filtration_layers, i_strings, quotient_strings,

@@ -8,10 +8,10 @@ Output is written chunk by chunk: the crystal emitters format one element
 or edge at a time, so no full document is held in memory, and nothing is
 decoded on the way out.  Output is deterministic byte for byte: element
 ids are BFS order, edges and members are emitted sorted, and JSON key
-order is fixed.  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 output write failure (also when a reader closes stdout early),
-4 resource cap exceeded.  Set CRYSTAL_LOG to error, info or debug to
-adjust logging.
+order is fixed.  Exit codes: 0 success, 1 verification failure (also a
+path kernel invariant failure), 2 usage error, 3 output write failure
+(also when a reader closes stdout early), 4 resource cap exceeded.  Set
+CRYSTAL_LOG to error, info or debug to adjust logging.
 """
 
 import argparse
@@ -23,7 +23,8 @@ import sys
 from itertools import islice
 
 from .character import char_of, demazure_characters, weyl_character, weyl_dimension
-from .crystal import DEFAULT_MAX_ELEMENTS, ResourceCapError, generate_crystal, verify_normal
+from .crystal import (DEFAULT_MAX_ELEMENTS, PathKernelError, ResourceCapError,
+                      generate_crystal, verify_normal)
 from .demazure import (DemazureCrystal, demazure_crystal, demazure_subsets,
                        string_index, verify_filtration_structure,
                        verify_string_property)
@@ -433,6 +434,10 @@ def main(argv=None):
     except ResourceCapError as exc:
         print(f"qcrystal: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except PathKernelError as exc:
+        # a path left its grid: a kernel bug on valid input, not a usage error
+        print(f"qcrystal: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     except ValueError as exc:
         print(f"qcrystal: {exc}", file=sys.stderr)
         return EXIT_USAGE

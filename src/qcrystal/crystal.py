@@ -1,37 +1,36 @@
 """Highest-weight crystals via piecewise-linear paths in the weight lattice.
 
-An element of B(lambda) is realized as a piecewise-linear path from the
-origin, kept in a canonical reparametrization-free form: the tuple of
-displacement vectors of its maximal straight runs.  The lowering operator
-cuts the path at the last time the i-height <h_i, path(t)> reaches its
-minimum m and at the first later time it reaches m + 1, reflects the middle
-piece by s_i, and leaves the rest alone; the raising operator is its
-conjugate under path reversal.  Crystal data read off the height function:
+An element of B(lambda) is a piecewise-linear path from the origin, kept
+as its maximal straight runs.  The lowering operator cuts the path at the
+last time the i-height <h_i, path(t)> reaches its minimum m and at the
+first later time it reaches m + 1, and reflects the middle piece by s_i;
+raising is its conjugate under path reversal.  Crystal data read off the
+height function:
 
     eps_i = -min(height),   phi_i = height(1) - min(height).
 
-Starting from the straight path to a dominant lambda, the closure under the
-lowering operators is a model of the crystal B(lambda).  Its paths are
-Littelmann's LS paths of shape lambda, whose breakpoints are rationals with
-denominators dividing the pairings <lambda, beta^vee> over the positive
-roots beta (Littelmann, Invent. Math. 116 (1994)).  A crystal therefore
-stores its paths as int step tuples scaled by one common denominator D,
-the lcm of those pairings, and every operator works in exact int
-arithmetic on that grid.  The kernel checks the bound instead of trusting
-it: a height minimum off the grid, or a split that leaves the grid, raises
-ValueError.  The public LSPath keeps exact Fraction coordinates and is
-scaled onto the grid of its own shape for each operator call.  Sizes,
-characters and the rank-one chain are certified against independent
-oracles in the test suite rather than trusted.
+The closure of the straight path to a dominant lambda under lowering is
+B(lambda), as Littelmann's LS paths of shape lambda (Invent. Math. 116
+(1994)): each run is a positive multiple of a point of the Weyl orbit of
+lambda, and breakpoints have denominators dividing the pairings
+<lambda, beta^vee> over the positive roots beta.  With D their lcm, a
+crystal stores a path as one flat int tuple of (orbit index, length)
+pairs (o_1, L_1, o_2, L_2, ...), run k being L_k / D times orbit point
+o_k.  Parallel runs share an orbit index, s_i is a table lookup and a
+split one divmod; a height minimum, split or endpoint off the grid raises
+PathKernelError.  The public LSPath keeps exact Fraction coordinates and
+is mapped onto the pairs of its own shape for each operator call.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from itertools import chain, groupby
 from math import lcm
 
 from .character import weyl_dimension
-from .root_data import (_check_rank, _coroots, dominant_representative,
-                        is_dominant, simple_root)
+from .root_data import (_check_index, _check_rank, _coroots,
+                        dominant_representative, is_dominant, simple_root)
 
 DEFAULT_MAX_ELEMENTS = 200_000
 
@@ -40,29 +39,20 @@ class ResourceCapError(RuntimeError):
     """Crystal generation refused: projected or actual size exceeds the cap."""
 
 
-def _positive_parallel(d, e):
-    k = next(j for j, x in enumerate(d) if x)
-    dk, ek = d[k], e[k]
-    if ek == 0 or (ek > 0) != (dk > 0):
-        return False
-    return all(ei * dk == di * ek for di, ei in zip(d, e))
+class PathKernelError(ValueError):
+    """A path left the 1/D grid of its crystal: the denominator bound failed."""
 
 
-def _append_step(out, step):
-    """Append a nonzero step, merged into its predecessor when positively parallel."""
-    if out and _positive_parallel(out[-1], step):
-        out[-1] = tuple(a + b for a, b in zip(out[-1], step))
-    else:
-        out.append(step)
+def _direction(step):
+    """A nonzero step over the size of its first nonzero coordinate."""
+    lead = abs(next(filter(None, step)))
+    return tuple(x / lead for x in step)
 
 
 def _canonical_steps(steps):
-    """Drop zero steps and merge positively parallel neighbours."""
-    out: list[tuple] = []
-    for step in steps:
-        if any(step):
-            _append_step(out, step)
-    return tuple(out)
+    """Drop zero steps and merge positively parallel neighbours: equal directions."""
+    runs = groupby(filter(any, steps), key=_direction)
+    return tuple(tuple(map(sum, zip(*group))) for _, group in runs)
 
 
 @dataclass(frozen=True)
@@ -76,15 +66,11 @@ class LSPath:
         object.__setattr__(self, "steps", _canonical_steps(steps))
 
     def endpoint(self):
-        if not self.steps:
-            return ()
-        return tuple(sum(col) for col in zip(*self.steps))
+        return tuple(map(sum, zip(*self.steps)))
 
     def weight(self, rank=None):
         """Endpoint of the path; integral for every crystal path."""
-        end = self.endpoint()
-        if not end:
-            return (0,) * rank if rank is not None else ()
+        end = self.endpoint() or (0,) * (rank or 0)
         if any(x.denominator != 1 for x in end):
             raise ValueError(f"path endpoint {end} is not an integral weight")
         return tuple(int(x) for x in end)
@@ -106,57 +92,65 @@ def straight_path(datum, lam):
     return LSPath((lam,))
 
 
-# -- the integer kernel ---------------------------------------------------
-#
-# Steps are int tuples equal to D times the true displacements, for the
-# crystal's common denominator D; heights are scaled by D as well.
-
-
 def _denominator(datum, lam):
-    """lcm of the nonzero <lam, beta^vee> over the positive roots beta (1 if none).
-
-    Each pairing is a dot product with a row of the coroot table
-    ``root_data._coroots``.
-    """
+    """lcm of the nonzero <lam, beta^vee>, dot products with ``_coroots`` rows (1 if none)."""
     return lcm(*filter(None, (sum(x * c for x, c in zip(lam, coroot))
                               for coroot in _coroots(datum))))
 
 
-def _heights(steps, i0, denom):
-    """Scaled i-heights at the breakpoints, and their minimum, checked to be integral."""
-    h = [0]
-    for step in steps:
-        h.append(h[-1] + step[i0])
+class _Orbit:
+    """The Weyl orbit of lambda, with the tables the pair kernel looks up.
+
+    Run k of a path (o_1, L_1, ...) is L_k * points[o_k], D times its true
+    displacement, with heights scaled to match.  ``points`` is the orbit
+    breadth-first from lambda under the simple reflections, ``index`` its
+    inverse; for i0 = i - 1, ``refl[i0][o]`` indexes s_i(points[o]),
+    ``pair[i0][o]`` = <points[o], h_i> and ``neg`` is ``pair`` negated.
+    """
+
+    __slots__ = ("points", "index", "refl", "pair", "neg")
+
+    def __init__(self, datum, lam):
+        points = [tuple(lam)]
+        index = {points[0]: 0}
+        alphas = [simple_root(datum, i) for i in datum.indices()]
+        refl = [[] for _ in alphas]
+        for mu in points:  # points grows behind the loop: breadth-first
+            for row, alpha, c in zip(refl, alphas, mu):
+                image = tuple(x - c * a for x, a in zip(mu, alpha))
+                if image not in index:
+                    index[image] = len(points)
+                    points.append(image)
+                row.append(index[image])
+        self.points, self.index, self.refl = points, index, refl
+        self.pair = [list(col) for col in zip(*points)]
+        self.neg = [[-x for x in row] for row in self.pair]
+
+    def run(self, o, length):
+        return tuple(length * x for x in self.points[o])
+
+    def steps(self, path):
+        """The runs of a path decoded to scaled int steps, L * points[o] each."""
+        return tuple(map(self.run, path[::2], path[1::2]))
+
+
+def _run_heights(pair, denom, path):
+    """i-heights at the breakpoints for one row of pairings, and their minimum."""
+    runs, h, x = iter(path), [0], 0
+    for o in runs:
+        x += next(runs) * pair[o]
+        h.append(x)
     m = min(h)
     if m % denom:
-        raise ValueError(f"non-integral height minimum {Fraction(m, denom)}: "
-                         "not a crystal path")
+        raise PathKernelError(f"non-integral height minimum {Fraction(m, denom)}: "
+                              "not a crystal path")
     return h, m
 
 
-def _reflect_step(alpha, i0, step):
-    c = step[i0]
-    if c == 0:
-        return step
-    return tuple(x - c * a for x, a in zip(step, alpha))
+def _lower_runs(pair, refl, denom, path, h, m):
+    """Lowering on a canonical path with i-heights h of minimum m.
 
-
-def _split_head(step, num, den, denom):
-    """The first num/den of a scaled step; raises unless it stays on the 1/denom grid."""
-    head = []
-    for c in step:
-        q, r = divmod(c * num, den)
-        if r:
-            raise ValueError(f"splitting step {step} at {num}/{den} leaves the "
-                             f"1/{denom} grid: denominator bound violated")
-        head.append(q)
-    return tuple(head)
-
-
-def _lowered(alpha, i0, denom, steps, h, m):
-    """Lowering on canonical scaled steps with i-heights h of minimum m.
-
-    Returns the canonical lowered steps, or None at the string bottom.
+    Returns the canonical lowered path, or None at the string bottom.
     The reflected piece and the two pieces around it are canonical on
     their own, so runs can only merge where they meet.
     """
@@ -167,43 +161,43 @@ def _lowered(alpha, i0, denom, steps, h, m):
     jc = j0 + 1
     while h[jc] < top:
         jc += 1
-    if h[jc] == top:
-        middle = [_reflect_step(alpha, i0, s) for s in steps[j0:jc]]
-    else:
-        # the ascent crosses m+1 inside segment jc-1: split it there
-        cut = steps[jc - 1]
-        head = _split_head(cut, top - h[jc - 1], h[jc] - h[jc - 1], denom)
-        middle = [_reflect_step(alpha, i0, s) for s in steps[j0:jc - 1]]
-        middle += [_reflect_step(alpha, i0, head), tuple(c - x for c, x in zip(cut, head))]
-    new = list(steps[:j0])
-    _append_step(new, middle[0])
-    new.extend(middle[1:])
-    if jc < len(steps):
-        _append_step(new, steps[jc])
-        new.extend(steps[jc + 1:])
-    return tuple(new)
+    a, c = 2 * j0, 2 * jc
+    middle = list(chain.from_iterable(zip(map(refl.__getitem__, path[a:c:2]),
+                                          path[a + 1:c:2])))
+    tail = path[c:]
+    if h[jc] > top:
+        # the ascent crosses m+1 inside run jc-1: split its length there
+        o, length = path[c - 2], path[c - 1]
+        head, rest = divmod(top - h[jc - 1], pair[o])
+        if rest:
+            raise PathKernelError(f"splitting run ({o}, {length}) at height {top - h[jc - 1]} "
+                                  f"leaves the 1/{denom} grid: denominator bound violated")
+        middle[-1] = head
+        tail = (o, length - head) + tail
+    if a and path[a - 2] == middle[0]:
+        a -= 2
+        middle[1] += path[a + 1]
+    if tail and tail[0] == middle[-2]:
+        middle[-1] += tail[1]
+        tail = tail[2:]
+    return path[:a] + tuple(middle) + tail
 
 
-def _reversed_steps(steps):
-    return tuple(tuple(-x for x in s) for s in reversed(steps))
+def _reversed_runs(path):
+    """The runs in reverse order: read with ``_Orbit.neg``, the path reversed."""
+    return tuple(chain.from_iterable(zip(path[-2::-2], path[::-2])))
 
 
-def _lower(alpha, i0, denom, steps):
-    return _lowered(alpha, i0, denom, steps, *_heights(steps, i0, denom))
-
-
-def _raise(alpha, i0, denom, steps):
-    """Raising as lowering conjugated by path reversal t -> 1 - t."""
-    low = _lower(alpha, i0, denom, _reversed_steps(steps))
-    return None if low is None else _reversed_steps(low)
+def _lower(pair, refl, denom, path):
+    return _lower_runs(pair, refl, denom, path, *_run_heights(pair, denom, path))
 
 
 def _string_data(denom, h, m):
     """(weight_i, eps_i, phi_i) from scaled i-heights h of minimum m."""
     end, rest = divmod(h[-1], denom)
     if rest:
-        raise ValueError(f"non-integral endpoint height {Fraction(h[-1], denom)}: "
-                         "not a crystal path")
+        raise PathKernelError(f"non-integral endpoint height {Fraction(h[-1], denom)}: "
+                              "not a crystal path")
     eps = -m // denom
     return end, eps, end + eps
 
@@ -211,26 +205,30 @@ def _string_data(denom, h, m):
 # -- public operators on LSPath -------------------------------------------
 
 
-def _on_grid(datum, path):
-    """(denominator, scaled steps) of a path, on the grid of its shape.
+def _on_grid(datum, i, path):
+    """(orbit tables, denominator, pair path) of a path, on the grid of its shape.
 
-    The shape lambda is the sum of the dominant representatives of the
-    steps, since each step of an LS path is a positive multiple of a Weyl
-    conjugate of lambda.
+    Each step of an LS path is c * tau(lambda) with c > 0 and tau in W, so
+    its shape lambda is the sum of the dominant representatives c * lambda.
     """
-    lam = [Fraction(0)] * datum.rank
-    for step in path.steps:
-        lam = [a + b for a, b in zip(lam, dominant_representative(datum, step))]
+    _check_index(datum, i)
+    doms = [dominant_representative(datum, step) for step in path.steps]
+    lam = tuple(map(sum, zip(*doms))) or (0,) * datum.rank
     if any(x.denominator != 1 for x in lam):
         raise ValueError(f"path shape {tuple(map(str, lam))} is not an integral weight")
-    denom = _denominator(datum, tuple(int(x) for x in lam))
-    scaled = []
-    for step in path.steps:
-        coords = tuple(x * denom for x in step)
-        if any(x.denominator != 1 for x in coords):
+    lam = tuple(map(int, lam))
+    denom, orbit = _denominator(datum, lam), _Orbit(datum, lam)
+    runs = ()
+    for step, dom in zip(path.steps, doms):
+        c = sum(dom) / sum(lam)
+        if (c * denom).denominator != 1:
             raise ValueError(f"path {path} has a step off the 1/{denom} grid of its shape")
-        scaled.append(tuple(int(x) for x in coords))
-    return denom, tuple(scaled)
+        o = orbit.index.get(tuple(x / c for x in step))
+        if o is None:
+            raise ValueError(f"path {path} has a step that is no positive multiple "
+                             f"of a Weyl conjugate of its shape {lam}")
+        runs += (o, int(c * denom))
+    return orbit, denom, runs
 
 
 def _from_grid(denom, steps):
@@ -239,40 +237,42 @@ def _from_grid(denom, steps):
 
 def f_tilde(datum, i, path):
     """Lowering operator: weight drops by alpha_i, or None if phi_i = 0."""
-    denom, steps = _on_grid(datum, path)
-    steps = _lower(simple_root(datum, i), i - 1, denom, steps)
-    return None if steps is None else _from_grid(denom, steps)
+    orbit, denom, runs = _on_grid(datum, i, path)
+    runs = _lower(orbit.pair[i - 1], orbit.refl[i - 1], denom, runs)
+    return None if runs is None else _from_grid(denom, orbit.steps(runs))
 
 
 def e_tilde(datum, i, path):
     """Raising operator, inverse to f_tilde: None if eps_i = 0.
 
-    Computed by conjugating the lowering operator with path reversal
-    t -> 1 - t, which swaps the roles of eps and phi.
+    Lowering conjugated by path reversal t -> 1 - t, which negates each
+    run (heights read off ``neg``; s_i commutes with negation).
     """
-    denom, steps = _on_grid(datum, path)
-    steps = _raise(simple_root(datum, i), i - 1, denom, steps)
-    return None if steps is None else _from_grid(denom, steps)
+    orbit, denom, runs = _on_grid(datum, i, path)
+    runs = _lower(orbit.neg[i - 1], orbit.refl[i - 1], denom, _reversed_runs(runs))
+    return None if runs is None else _from_grid(denom, orbit.steps(_reversed_runs(runs)))
 
 
 def eps_phi(datum, i, path):
     """(eps_i, phi_i) read off the i-height function of the path."""
-    denom, steps = _on_grid(datum, path)
-    _, eps, phi = _string_data(denom, *_heights(steps, i - 1, denom))
+    orbit, denom, runs = _on_grid(datum, i, path)
+    _, eps, phi = _string_data(denom, *_run_heights(orbit.pair[i - 1], denom, runs))
     return eps, phi
 
 
 @dataclass(frozen=True, slots=True)
 class CrystalElement:
-    """One crystal vertex with its cached weight and string data.
+    """One crystal vertex: its path as ``runs`` over the ``orbit`` tables, and string data."""
 
-    ``steps`` is its path, scaled by the denominator of its crystal.
-    """
-
-    steps: tuple[tuple[int, ...], ...]
+    runs: tuple[int, ...]
     weight: tuple[int, ...]
     eps: tuple[int, ...]
     phi: tuple[int, ...]
+    orbit: _Orbit = field(repr=False, compare=False)
+
+    @property
+    def steps(self):
+        return self.orbit.steps(self.runs)
 
 
 class CrystalGraph:
@@ -281,8 +281,8 @@ class CrystalGraph:
     Element 0 is the highest-weight element.  Ids follow breadth-first
     level order (level = height of lambda minus the weight), ties broken
     by the canonical path encoding, so ids are stable across runs.  Paths
-    are stored as int steps over ``denominator``, the lcm of the pairings
-    <lambda, beta^vee>.
+    are stored as (orbit index, length) pairs whose lengths sum to
+    ``denominator``, the lcm of the pairings <lambda, beta^vee>.
     """
 
     def __init__(self, datum, highest_weight, elements, edges, denominator):
@@ -339,12 +339,11 @@ def generate_crystal(datum, lam, max_elements=DEFAULT_MAX_ELEMENTS):
         raise ResourceCapError(
             f"B({lam}) for {datum.name} has {projected} elements, "
             f"above the cap of {max_elements}")
-    # the straight path to lam, on the grid of its own shape
-    denom = _denominator(datum, lam)
-    top = (tuple(denom * x for x in lam),) if any(lam) else ()
-    roots = [(i, i - 1, simple_root(datum, i)) for i in datum.indices()]
-    paths = [top]
-    ids = {top: 0}
+    denom, orbit = _denominator(datum, lam), _Orbit(datum, lam)
+    rows = list(zip(datum.indices(), orbit.pair, orbit.refl))
+    run = cache(orbit.run)  # decoded runs, for this call's level order only
+    top = (0, denom) if any(lam) else ()  # the straight path to lam
+    paths, ids = [top], {top: 0}
     elements = []
     edges: dict[tuple[int, int], int] = {}
     frontier = [0]
@@ -352,21 +351,22 @@ def generate_crystal(datum, lam, max_elements=DEFAULT_MAX_ELEMENTS):
         pending = set()
         hits: list[tuple[int, int, tuple]] = []
         for b in frontier:
-            steps = paths[b]
+            path = paths[b]
             data = []
-            for i, i0, alpha in roots:
-                h, m = _heights(steps, i0, denom)
+            for i, pair, refl in rows:
+                h, m = _run_heights(pair, denom, path)
                 data.append(_string_data(denom, h, m))
-                child = _lowered(alpha, i0, denom, steps, h, m)
+                child = _lower_runs(pair, refl, denom, path, h, m)
                 if child is None:
                     continue
                 hits.append((b, i, child))
                 if child not in ids:
                     pending.add(child)
             weight, eps, phi = zip(*data)
-            elements.append(CrystalElement(steps, weight, eps, phi))
+            elements.append(CrystalElement(path, weight, eps, phi, orbit))
         frontier = []
-        for key in sorted(pending):
+        # a level is ordered by its decoded scaled steps, as ids always were
+        for key in sorted(pending, key=lambda p: tuple(map(run, p[::2], p[1::2]))):
             ids[key] = len(paths)
             paths.append(key)
             frontier.append(ids[key])
@@ -398,16 +398,15 @@ def verify_normal(graph):
                 return False, ("edge map vs phi", b, i)
             if ((b, i) in parents) != (eps > 0):
                 return False, ("parent map vs eps", b, i)
-    alphas = [simple_root(graph.datum, i) for i in graph.indices()]
-    denom = graph.denominator
+    orbit, denom = elements[0].orbit, graph.denominator
     # raising is lowering conjugated by reversal: reverse each path once
-    reversed_steps = [_reversed_steps(el.steps) for el in elements]
+    reversed_runs = [_reversed_runs(el.runs) for el in elements]
     for (b, i), child in edges.items():
         i0, top, low = i - 1, elements[b], elements[child]
         if low.eps[i0] != top.eps[i0] + 1:
             return False, ("eps along edge", b, i, child)
         if low.phi[i0] != top.phi[i0] - 1:
             return False, ("phi along edge", b, i, child)
-        if _lower(alphas[i0], i0, denom, reversed_steps[child]) != reversed_steps[b]:
+        if _lower(orbit.neg[i0], orbit.refl[i0], denom, reversed_runs[child]) != reversed_runs[b]:
             return False, ("raising does not invert lowering", b, i, child)
     return True, None

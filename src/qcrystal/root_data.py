@@ -13,6 +13,7 @@ a[1][2] = -3 (alpha_1 short, alpha_2 long); the fundamental weight omega_1
 then carries the 7-dimensional representation.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -140,8 +141,14 @@ def is_dominant(mu):
 
 
 def _check_rank(datum, lam):
+    """A weight is a tuple of rank-many ints (anything with ``__index__``)."""
     if len(lam) != datum.rank:
         raise ValueError(f"weight length {len(lam)} does not match rank {datum.rank}")
+    for k, x in enumerate(lam, 1):
+        try:
+            operator.index(x)
+        except TypeError:
+            raise TypeError(f"weight coordinate {k} is {x!r}, not an int") from None
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from qcrystal import cli
+from qcrystal import cli, crystal
 from qcrystal.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                           EXIT_VERIFY_FAILED, EXIT_WRITE, emit_dot, emit_json,
                           main, parse_args)
@@ -284,6 +284,19 @@ def test_resource_cap_exit_code():
                      "--max-elements", "5")
     assert result.returncode == EXIT_RESOURCE
     assert b"cap" in result.stderr
+
+
+def test_path_kernel_error_exits_1(tmp_path, capsys, monkeypatch):
+    # a denominator too small for lambda breaks the kernel's grid invariant on
+    # valid input: a failure of the program (exit 1), not a usage error (exit 2)
+    monkeypatch.setattr(crystal, "_denominator", lambda datum, lam: 1)
+    out = tmp_path / "out.txt"
+    assert main(["crystal", "--type", "A2", "--weight", "1,1", "--out", str(out)]) == 1
+    assert EXIT_VERIFY_FAILED == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qcrystal: "), lines
+    assert "grid" in lines[0]
+    assert not out.exists()
 
 
 def test_rank_one_resource_cap(capsys):

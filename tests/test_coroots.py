@@ -6,6 +6,7 @@ agree with them on every weight with coordinates in 0..3, for every type.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -63,3 +64,13 @@ def test_generation_rejects_a_non_dominant_weight_before_the_top_path():
         with pytest.raises(ValueError,
                            match=r"dimension formula needs a dominant weight, got \(1, -1\)"):
             fn(a2, (1, -1))
+
+
+def test_weights_must_have_int_coordinates():
+    # one message from root_data._check_rank for a float and for an integral
+    # Fraction, rather than 8.0 from the product and a math.lcm TypeError
+    a2 = cartan_datum("A2")
+    for fn, lam, k in ((weyl_dimension, (1.0, 1.0), 1), (generate_crystal, (Fraction(2), 0), 1),
+                       (weyl_dimension, (1, 1.0), 2)):
+        with pytest.raises(TypeError, match=rf"weight coordinate {k} is .*, not an int"):
+            fn(a2, lam)

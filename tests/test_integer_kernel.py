@@ -1,9 +1,11 @@
-"""Differential tests: the int path kernel against the Fraction reference.
+"""Differential tests: the pair path kernel against two earlier kernels.
 
 ``fraction_kernel.py`` keeps the Fraction-coordinate kernel the library
 used before its paths moved to int steps over one common denominator per
-crystal.  Whole crystals must agree element by element: ids, edges,
-weights, eps, phi and the paths themselves.
+crystal, and ``int_step_kernel.py`` keeps that int-step kernel, used
+before paths moved to (orbit index, length) pairs.  Whole crystals must
+agree element by element: ids, edges, weights, eps, phi and the paths
+themselves.
 """
 
 from fractions import Fraction
@@ -11,9 +13,11 @@ from fractions import Fraction
 import pytest
 
 import fraction_kernel as ref
+import int_step_kernel as int_ref
 from qcrystal import crystal
-from qcrystal.crystal import LSPath, e_tilde, eps_phi, f_tilde, generate_crystal
-from qcrystal.root_data import cartan_datum, simple_root
+from qcrystal.crystal import (LSPath, PathKernelError, e_tilde, eps_phi, f_tilde,
+                              generate_crystal)
+from qcrystal.root_data import cartan_datum, simple_root, supported_types
 
 # the acceptance crystals, one weight with split steps for each remaining
 # type, and two larger crystals with denominators 120 and 60
@@ -43,6 +47,28 @@ def test_crystal_matches_fraction_reference(name, lam, graph_of):
     assert_same_crystal(graph_of(name, lam))
 
 
+def _rho_and_fundamental_weights():
+    for name in supported_types():
+        rank = cartan_datum(name).rank
+        yield name, (1,) * rank
+        for i in range(rank):
+            yield name, tuple(int(j == i) for j in range(rank))
+
+
+INT_STEP_CASES = sorted(set(_rho_and_fundamental_weights()) | set(DIFF_CASES))
+
+
+@pytest.mark.parametrize("name,lam", INT_STEP_CASES)
+def test_crystal_matches_int_step_reference(name, lam, graph_of):
+    graph = graph_of(name, lam)
+    elements, edges, denom = int_ref.reference_crystal(graph.datum, lam)
+    assert graph.denominator == denom
+    assert len(graph) == len(elements)
+    assert graph.edges == edges
+    for b, (el, expected) in enumerate(zip(graph.elements, elements)):
+        assert (el.steps, el.weight, el.eps, el.phi) == expected, b
+
+
 def test_denominator_is_lcm_of_coroot_pairings():
     # <lambda, beta^vee> over the positive roots, worked by hand
     assert crystal._denominator(cartan_datum("A2"), (1, 1)) == 2          # 1, 1, 2
@@ -56,12 +82,25 @@ def test_too_small_denominator_raises():
     a2 = cartan_datum("A2")
     alpha2 = simple_root(a2, 2)
     # f_2 f_1 of the A2 (1, 1) top path splits (-1, 2) in half
-    assert crystal._lower(alpha2, 1, 2, ((-2, 4),)) == ((1, -2), (-1, 2))
+    assert int_ref._lower(alpha2, 1, 2, ((-2, 4),)) == ((1, -2), (-1, 2))
     with pytest.raises(ValueError, match="grid"):
-        crystal._lower(alpha2, 1, 1, ((-1, 2),))
+        int_ref._lower(alpha2, 1, 1, ((-1, 2),))
     # a height minimum off the grid is refused too
     with pytest.raises(ValueError, match="non-integral height minimum"):
-        crystal._heights(((-1, 1),), 0, 2)
+        int_ref._heights(((-1, 1),), 0, 2)
+
+
+def test_too_small_denominator_raises_on_pairs():
+    # the three cases above, as (orbit index, length) pairs over the orbit of (1, 1)
+    orbit = crystal._Orbit(cartan_datum("A2"), (1, 1))
+    pair, refl = orbit.pair[1], orbit.refl[1]
+    o = orbit.index
+    assert crystal._lower(pair, refl, 2, (o[-1, 2], 2)) == (o[1, -2], 1, o[-1, 2], 1)
+    with pytest.raises(PathKernelError, match="grid"):
+        crystal._lower(pair, refl, 1, (o[-1, 2], 1))
+    # (-1, 2) over 2 has 1-height -1/2 at its end
+    with pytest.raises(PathKernelError, match="non-integral height minimum"):
+        crystal._run_heights(orbit.pair[0], 2, (o[-1, 2], 1))
 
 
 def test_generation_with_too_small_denominator_raises(monkeypatch):
@@ -92,3 +131,10 @@ def test_public_operators_reject_off_grid_paths():
     # shape (1,) has denominator 1, so a half step is no crystal path
     with pytest.raises(ValueError, match="grid"):
         eps_phi(cartan_datum("A1"), 1, LSPath(((half,), (-half,))))
+
+
+def test_public_operators_reject_steps_off_the_orbit():
+    # shape (1, 1), but (1, 0) is half of (2, 0), which is no Weyl conjugate of it
+    path = LSPath(((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="no positive multiple of a Weyl conjugate"):
+        f_tilde(cartan_datum("A2"), 1, path)
