@@ -98,20 +98,32 @@ def apply_demazure_word(datum, word, chi):
     return chi
 
 
+def _character_levels(datum, lam):
+    """Yield (w, D_w(e^lambda)) for every w in ``weyl_group`` order.
+
+    The first letter i of a canonical word w is a left descent and w[1:] is
+    the canonical word of s_i w, so D_w(e^lambda) = D_i(D_{s_i w}(e^lambda))
+    equals ``apply_demazure_word(datum, w, e^lambda)``.  Only the
+    characters of w's length and the length below are held.
+    """
+    group = weyl_group(datum)
+    below, level, length = {}, {(): FormalCharacter.monomial(lam)}, 0
+    yield (), level[()]
+    for w in group[1:]:
+        if len(w) > length:
+            below, level, length = level, {}, len(w)
+        level[w] = demazure_operator(datum, w[0], below[w[1:]])
+        yield w, level[w]
+
+
 def demazure_characters(datum, lam):
     """D_w(e^lambda) for every w, memoized along the weak order.
 
-    Keys are canonical words in ``weyl_group`` order.  The first letter i of
-    a canonical word w is a left descent and w[1:] is the canonical word of
-    s_i w, so D_w(e^lambda) = D_i(D_{s_i w}(e^lambda)) equals
-    ``apply_demazure_word(datum, w, e^lambda)``.
+    Keys are canonical words in ``weyl_group`` order; the values come from
+    ``_character_levels``.
     """
     _check_rank(datum, lam)
-    group = weyl_group(datum)
-    chars = {group[0]: FormalCharacter.monomial(lam)}
-    for w in group[1:]:
-        chars[w] = demazure_operator(datum, w[0], chars[w[1:]])
-    return chars
+    return dict(_character_levels(datum, lam))
 
 
 def verify_demazure_character(graph, lam, word):

@@ -20,16 +20,16 @@ import json
 import logging
 import os
 import sys
+import time
 from itertools import islice
 
-from .character import char_of, demazure_characters, weyl_character, weyl_dimension
+from .character import _character_levels, char_of, weyl_character, weyl_dimension
 from .crystal import (DEFAULT_MAX_ELEMENTS, PathKernelError, ResourceCapError,
                       generate_crystal, verify_normal)
-from .demazure import (DemazureCrystal, demazure_crystal, demazure_subsets,
-                       string_index, verify_filtration_structure,
-                       verify_string_property)
+from .demazure import (DemazureCrystal, _subset_levels, demazure_crystal,
+                       string_index, verify_strings)
 from .rank_one import RankOneModule, act_e, act_f, verify_sl2_relation
-from .root_data import cartan_datum, longest_word
+from .root_data import cartan_datum, longest_word, weyl_order
 
 log = logging.getLogger("qcrystal")
 
@@ -123,7 +123,7 @@ def parse_args(argv):
 
 
 #: Pieces (one element, edge or line each) joined into one chunk of output.
-_CHUNK_PIECES = 2000
+_CHUNK_PIECES = 500
 
 
 def _emit(pieces, write):
@@ -149,23 +149,32 @@ def _json_ints(values, indent):
     return "[" + inner + ("," + inner).join(map(str, values)) + "\n" + " " * indent + "]"
 
 
+def _edge_triples(graph):
+    """(b, i, child) for every edge in (b, i) order, read off the child columns."""
+    columns = list(zip(graph.indices(), graph.children))
+    for b in graph.all_ids():
+        for i, column in columns:
+            if column[b] >= 0:
+                yield b, i, column[b]
+
+
 def _json_pieces(graph, members):
-    indices = graph.indices()
     yield (f'{{\n  "family": {json.dumps(graph.datum.family)},\n'
            f'  "rank": {graph.datum.rank},\n'
            f'  "highest_weight": {_json_ints(graph.highest_weight, 2)},\n'
            f'  "elements": [')
-    for b in graph.all_ids():
+    for b, (wt, eps, phi) in enumerate(zip(graph.weight_of, graph.eps_of, graph.phi_of)):
         yield (f'{"," if b else ""}\n    {{\n      "id": {b},\n'
-               f'      "weight": {_json_ints(graph.weight(b), 6)},\n'
-               f'      "eps": {_json_ints([graph.eps(b, i) for i in indices], 6)},\n'
-               f'      "phi": {_json_ints([graph.phi(b, i) for i in indices], 6)}\n    }}')
+               f'      "weight": {_json_ints(wt, 6)},\n'
+               f'      "eps": {_json_ints(eps, 6)},\n'
+               f'      "phi": {_json_ints(phi, 6)}\n    }}')
     yield '\n  ],\n  "edges": ['
-    edges = graph.edges
-    for n, (b, i) in enumerate(sorted(edges)):
-        yield (f'{"," if n else ""}\n    {{\n      "from": {b},\n'
-               f'      "to": {edges[b, i]},\n      "i": {i}\n    }}')
-    yield "\n  ]" if edges else "]"  # json.dumps writes an empty list as []
+    sep = ""
+    for b, i, child in _edge_triples(graph):
+        yield (f'{sep}\n    {{\n      "from": {b},\n'
+               f'      "to": {child},\n      "i": {i}\n    }}')
+        sep = ","
+    yield "\n  ]" if sep else "]"  # json.dumps writes an empty list as []
     if members is not None:
         yield f',\n  "members": {_json_ints(sorted(members), 2)}'
     yield "\n}\n"
@@ -183,13 +192,12 @@ def emit_json(graph, members=None, write=None):
 
 def _dot_pieces(graph, members):
     yield "digraph crystal {\n  rankdir=TB;\n"
-    for b in graph.all_ids():
-        label = "(" + ", ".join(str(c) for c in graph.weight(b)) + ")"
+    for b, wt in enumerate(graph.weight_of):
+        label = "(" + ", ".join(map(str, wt)) + ")"
         extra = ", peripheries=2" if members is not None and b in members else ""
         yield f'  n{b} [label="{label}"{extra}];\n'
-    edges = graph.edges
-    for b, i in sorted(edges):
-        yield f'  n{b} -> n{edges[b, i]} [label="{i}"];\n'
+    for b, i, child in _edge_triples(graph):
+        yield f'  n{b} -> n{child} [label="{i}"];\n'
     yield "}\n"
 
 
@@ -202,23 +210,19 @@ def emit_dot(graph, members=None, write=None):
 
 
 def _text_pieces(graph, members):
-    indices = graph.indices()
     name = graph.datum.name
     lam = ", ".join(str(c) for c in graph.highest_weight)
     head = f"crystal {name} highest weight ({lam}): {len(graph)} elements"
     if members is not None:
         head += f", subset of size {len(members)}"
     yield head + "\n"
-    for b in graph.all_ids():
+    for b, row in enumerate(zip(graph.weight_of, graph.eps_of, graph.phi_of)):
         mark = "*" if members is not None and b in members else " "
-        wt = ", ".join(str(c) for c in graph.weight(b))
-        eps = ", ".join(str(graph.eps(b, i)) for i in indices)
-        phi = ", ".join(str(graph.phi(b, i)) for i in indices)
+        wt, eps, phi = (", ".join(map(str, values)) for values in row)
         yield f"{mark}{b:>4}  weight=({wt})  eps=({eps})  phi=({phi})\n"
     yield "edges:\n"
-    edges = graph.edges
-    for b, i in sorted(edges):
-        yield f"  {b} -{i}-> {edges[b, i]}\n"
+    for b, i, child in _edge_triples(graph):
+        yield f"  {b} -{i}-> {child}\n"
 
 
 def emit_text(graph, members=None, write=None):
@@ -279,63 +283,73 @@ def _corrupt(dc):
     raise RuntimeError("no string long enough to corrupt")
 
 
-def _first_failure(subsets, check, indices):
-    """(True, None), or (False, (w, witness)) for the first failing (w, i)."""
-    for w, dc in subsets.items():
-        for i in indices:
-            good, wit = check(dc, i)
-            if not good:
-                return False, (w, wit)
-    return True, None
+def _phase(name, start, detail=""):
+    """Log one ``verify`` phase with the seconds since ``start``; returns the time now."""
+    now = time.perf_counter()
+    log.info("verify phase %s: %.3f s%s", name, now - start, detail)
+    return now
 
 
 def run_verify(job):
     """Run the whole combinatorial suite; returns (report rows, ok).
 
     Every Demazure subset and every Demazure character comes from one
-    pass over the weak order (``demazure_subsets``, ``demazure_characters``).
-    ``--inject-failure`` corrupts B_{w0} for the string and filtration
-    checks only.
+    walk over the weak order that keeps two length levels alive
+    (``demazure._subset_levels``, ``character._character_levels``).  Each
+    B_w is checked as it is built, and each row keeps its first failure
+    in ``weyl_group`` order.  ``--inject-failure`` corrupts B_{w0} for the
+    string and filtration checks only.
     """
     datum = cartan_datum(job.type_name)
+    indices = datum.indices()
+    start = time.perf_counter()
     graph = generate_crystal(datum, job.weight, max_elements=job.max_elements)
-    subsets, independence = demazure_subsets(graph)
-    checked = dict(subsets)
-    if job.inject_failure:
-        top_word = longest_word(datum)
-        checked[top_word] = _corrupt(checked[top_word])
-        log.info("injected a corrupted subset for %s", top_word)
+    start = _phase("generation", start, f", {len(graph)} elements")
 
-    rows = []
+    normal = verify_normal(graph)
+    start = _phase("normal-crystal-relations", start)
 
-    ok, witness = verify_normal(graph)
-    rows.append(("normal-crystal-relations", ok, witness))
+    top_word = longest_word(datum)
+    strings = filtration = independence = characters = None
+    peak = 0
+    walk = zip(_subset_levels(graph), _character_levels(datum, job.weight))
+    for (w, members, disagreement, live), (_, chi) in walk:
+        peak = max(peak, live)
+        dc = DemazureCrystal(graph, w, members)
+        if job.inject_failure and w == top_word:
+            dc = _corrupt(dc)
+            log.info("injected a corrupted subset for %s", w)
+        for i in indices:
+            (good, wit), (layered, layer_wit) = verify_strings(dc, i)
+            if strings is None and not good:
+                strings = (w, wit)
+            if filtration is None and not layered:
+                filtration = (w, layer_wit)
+        if independence is None and disagreement is not None:
+            independence = (w, disagreement)
+        if characters is None and char_of(members, graph) != chi:
+            characters = (w, "character mismatch")
+        top_char = chi  # w0 comes last
+    start = _phase("weak-order walk", start, f", peak {peak} live member slots")
 
-    ok, witness = _first_failure(checked, verify_string_property, datum.indices())
-    rows.append((f"string-property ({len(subsets)} words x {datum.rank} indices)", ok, witness))
-
-    ok, witness = _first_failure(checked, verify_filtration_structure, datum.indices())
-    rows.append(("filtration-structure", ok, witness))
-
-    rows.append(("reduced-word-independence", independence is None, independence))
-
-    chars = demazure_characters(datum, job.weight)
-    ok, witness = True, None
-    for w, dc in subsets.items():
-        if char_of(dc.members, graph) != chars[w]:
-            ok, witness = False, (w, "character mismatch")
-            break
-    rows.append(("demazure-character-formula", ok, witness))
+    rows = [("normal-crystal-relations", *normal),
+            (f"string-property ({weyl_order(datum)} words x {datum.rank} indices)",
+             strings is None, strings),
+            ("filtration-structure", filtration is None, filtration),
+            ("reduced-word-independence", independence is None, independence),
+            ("demazure-character-formula", characters is None, characters)]
 
     freudenthal = weyl_character(datum, job.weight)
     crystal_char = char_of(graph.all_ids(), graph)
-    ok = crystal_char == freudenthal == chars[longest_word(datum)]
+    ok = crystal_char == freudenthal == top_char
     rows.append(("weyl-character-agreement", ok, None if ok else "character mismatch"))
+    start = _phase("weyl-character-agreement", start)
 
     dim = weyl_dimension(datum, job.weight)
     ok = len(graph) == dim
     rows.append(("weyl-dimension-agreement", ok,
                  None if ok else (len(graph), dim)))
+    _phase("weyl-dimension-agreement", start)
 
     return rows, all(ok for _, ok, _ in rows)
 

@@ -19,12 +19,22 @@ pairs (o_1, L_1, o_2, L_2, ...), run k being L_k / D times orbit point
 o_k.  Parallel runs share an orbit index, s_i is a table lookup and a
 split one divmod; a height minimum, split or endpoint off the grid raises
 PathKernelError.  The public LSPath keeps exact Fraction coordinates and
-is mapped onto the pairs of its own shape for each operator call.
+is mapped onto the pairs of its own shape for each operator call, with
+the tables of a shape cached across calls.
+
+A generated crystal is stored as columns indexed by element id rather
+than as one object per element: a list of path tuples, lists of weight,
+eps and phi tuples (one tuple object per distinct value), and per index
+i one ``array('i')`` column of f_tilde_i targets and one of e_tilde_i
+sources, -1 for none.  ``CrystalGraph.edges`` and ``.elements`` are
+read-only views over the columns.
 """
 
+from array import array
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, groupby
 from math import lcm
 
@@ -205,6 +215,12 @@ def _string_data(denom, h, m):
 # -- public operators on LSPath -------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _grid_tables(datum, lam):
+    """(denominator, orbit tables) of a shape, shared by calls on paths of that shape."""
+    return _denominator(datum, lam), _Orbit(datum, lam)
+
+
 def _on_grid(datum, i, path):
     """(orbit tables, denominator, pair path) of a path, on the grid of its shape.
 
@@ -217,7 +233,7 @@ def _on_grid(datum, i, path):
     if any(x.denominator != 1 for x in lam):
         raise ValueError(f"path shape {tuple(map(str, lam))} is not an integral weight")
     lam = tuple(map(int, lam))
-    denom, orbit = _denominator(datum, lam), _Orbit(datum, lam)
+    denom, orbit = _grid_tables(datum, lam)
     runs = ()
     for step, dom in zip(path.steps, doms):
         c = sum(dom) / sum(lam)
@@ -275,6 +291,61 @@ class CrystalElement:
         return self.orbit.steps(self.runs)
 
 
+def _follow(columns, b, i):
+    """``columns[i - 1][b]`` as an id; None for -1, or for an i or b out of range."""
+    if 0 < i <= len(columns) and b >= 0:
+        column = columns[i - 1]
+        if b < len(column) and column[b] >= 0:
+            return column[b]
+    return None
+
+
+class _Edges(Mapping):
+    """Read-only {(b, i): child} view of the child columns, iterated in (b, i) order."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns):
+        self._columns = columns
+
+    def __getitem__(self, key):
+        try:
+            child = _follow(self._columns, *key)
+        except TypeError:
+            child = None
+        if child is None:
+            raise KeyError(key)
+        return child
+
+    def __iter__(self):
+        columns = self._columns
+        for b in range(len(columns[0])):
+            for i, column in enumerate(columns, 1):
+                if column[b] >= 0:
+                    yield b, i
+
+    def __len__(self):
+        return sum(len(column) - column.count(-1) for column in self._columns)
+
+
+class _Elements(Sequence):
+    """Read-only sequence of ``CrystalElement`` records, assembled from the columns."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph):
+        self._graph = graph
+
+    def __len__(self):
+        return len(self._graph.runs)
+
+    def __getitem__(self, b):
+        if isinstance(b, slice):
+            return [self[k] for k in range(len(self))[b]]
+        g = self._graph
+        return CrystalElement(g.runs[b], g.weight_of[b], g.eps_of[b], g.phi_of[b], g.orbit)
+
+
 class CrystalGraph:
     """B(lambda): elements indexed 0..n-1 with i-labeled lowering edges.
 
@@ -283,46 +354,81 @@ class CrystalGraph:
     by the canonical path encoding, so ids are stable across runs.  Paths
     are stored as (orbit index, length) pairs whose lengths sum to
     ``denominator``, the lcm of the pairings <lambda, beta^vee>.
+
+    The graph is a set of columns indexed by element id: ``runs[b]`` is
+    the path of b over the ``orbit`` tables; ``weight_of[b]``,
+    ``eps_of[b]`` and ``phi_of[b]`` are rank-tuples, shared between equal
+    values; and for i0 = i - 1, ``children[i0][b]`` and ``parents[i0][b]``
+    are the ids of f_tilde_i(b) and e_tilde_i(b) in ``array('i')``
+    columns, -1 for none.  ``edges`` and ``elements`` are read-only
+    views of the columns as an {(b, i): child} mapping and as a sequence
+    of ``CrystalElement`` records.
+
+    The constructor takes ``CrystalElement`` records and an {(b, i):
+    child} edge map, for graphs assembled or altered by hand; where two
+    edges enter one child, the later one names its parent.
     """
 
     def __init__(self, datum, highest_weight, elements, edges, denominator):
+        n = len(elements)
+        children = [array("i", [-1]) * n for _ in datum.indices()]
+        parents = [array("i", [-1]) * n for _ in datum.indices()]
+        for (b, i), child in edges.items():
+            children[i - 1][b] = child
+            parents[i - 1][child] = b
+        self._fill(datum, highest_weight, denominator, elements[0].orbit if n else None,
+                   [el.runs for el in elements], [el.weight for el in elements],
+                   [el.eps for el in elements], [el.phi for el in elements],
+                   children, parents)
+
+    def _fill(self, datum, highest_weight, denominator, orbit,
+              runs, weight_of, eps_of, phi_of, children, parents):
         self.datum = datum
         self.highest_weight = tuple(highest_weight)
-        self.elements = elements
-        self.edges = edges
         self.denominator = denominator
-        self._parents = {(child, i): b for (b, i), child in edges.items()}
+        self.orbit = orbit
+        self.runs = runs
+        self.weight_of, self.eps_of, self.phi_of = weight_of, eps_of, phi_of
+        self.children, self.parents = children, parents
         self._string_index = {}  # i -> i-string index, filled by demazure.string_index
 
+    @property
+    def edges(self):
+        return _Edges(self.children)
+
+    @property
+    def elements(self):
+        return _Elements(self)
+
     def __len__(self):
-        return len(self.elements)
+        return len(self.runs)
 
     def indices(self):
         return self.datum.indices()
 
     def f(self, b, i):
         """Id of f_tilde_i(b), or None."""
-        return self.edges.get((b, i))
+        return _follow(self.children, b, i)
 
     def e(self, b, i):
         """Id of e_tilde_i(b), or None."""
-        return self._parents.get((b, i))
+        return _follow(self.parents, b, i)
 
     def eps(self, b, i):
-        return self.elements[b].eps[i - 1]
+        return self.eps_of[b][i - 1]
 
     def phi(self, b, i):
-        return self.elements[b].phi[i - 1]
+        return self.phi_of[b][i - 1]
 
     def weight(self, b):
-        return self.elements[b].weight
+        return self.weight_of[b]
 
     def path(self, b):
         """The path of element b as an LSPath with exact Fraction steps."""
-        return _from_grid(self.denominator, self.elements[b].steps)
+        return _from_grid(self.denominator, self.orbit.steps(self.runs[b]))
 
     def all_ids(self):
-        return range(len(self.elements))
+        return range(len(self.runs))
 
 
 def generate_crystal(datum, lam, max_elements=DEFAULT_MAX_ELEMENTS):
@@ -331,7 +437,7 @@ def generate_crystal(datum, lam, max_elements=DEFAULT_MAX_ELEMENTS):
     Refuses up front when the Weyl dimension exceeds ``max_elements``
     (and again during generation, in case the two ever disagree).  Each
     element's weight, eps and phi are read off the same height functions
-    that its lowering uses.
+    that its lowering uses.  The columns grow one BFS level at a time.
     """
     lam = tuple(lam)
     projected = weyl_dimension(datum, lam)
@@ -340,41 +446,50 @@ def generate_crystal(datum, lam, max_elements=DEFAULT_MAX_ELEMENTS):
             f"B({lam}) for {datum.name} has {projected} elements, "
             f"above the cap of {max_elements}")
     denom, orbit = _denominator(datum, lam), _Orbit(datum, lam)
-    rows = list(zip(datum.indices(), orbit.pair, orbit.refl))
+    rows = list(zip(orbit.pair, orbit.refl))
     run = cache(orbit.run)  # decoded runs, for this call's level order only
     top = (0, denom) if any(lam) else ()  # the straight path to lam
-    paths, ids = [top], {top: 0}
-    elements = []
-    edges: dict[tuple[int, int], int] = {}
-    frontier = [0]
-    while frontier:
+    runs, ids = [top], {top: 0}
+    weight_of, eps_of, phi_of = [], [], []
+    shared = {}  # one tuple object per distinct weight, eps or phi value
+    children = [array("i", [-1]) for _ in rows]
+    parents = [array("i", [-1]) for _ in rows]
+    start = 0
+    while start < len(runs):
         pending = set()
         hits: list[tuple[int, int, tuple]] = []
-        for b in frontier:
-            path = paths[b]
+        for b in range(start, len(runs)):
+            path = runs[b]
             data = []
-            for i, pair, refl in rows:
+            for i0, (pair, refl) in enumerate(rows):
                 h, m = _run_heights(pair, denom, path)
                 data.append(_string_data(denom, h, m))
                 child = _lower_runs(pair, refl, denom, path, h, m)
                 if child is None:
                     continue
-                hits.append((b, i, child))
+                hits.append((b, i0, child))
                 if child not in ids:
                     pending.add(child)
             weight, eps, phi = zip(*data)
-            elements.append(CrystalElement(path, weight, eps, phi, orbit))
-        frontier = []
+            weight_of.append(shared.setdefault(weight, weight))
+            eps_of.append(shared.setdefault(eps, eps))
+            phi_of.append(shared.setdefault(phi, phi))
+        start = len(runs)
         # a level is ordered by its decoded scaled steps, as ids always were
         for key in sorted(pending, key=lambda p: tuple(map(run, p[::2], p[1::2]))):
-            ids[key] = len(paths)
-            paths.append(key)
-            frontier.append(ids[key])
-        if len(paths) > max_elements:
+            ids[key] = len(runs)
+            runs.append(key)
+        if len(runs) > max_elements:
             raise ResourceCapError(f"crystal generation passed {max_elements} elements")
-        for b, i, key in hits:
-            edges[(b, i)] = ids[key]
-    return CrystalGraph(datum, lam, elements, edges, denom)
+        for column in chain(children, parents):
+            column.extend(array("i", [-1]) * len(pending))
+        for b, i0, key in hits:
+            child = ids[key]
+            children[i0][b] = child
+            parents[i0][child] = b
+    graph = CrystalGraph.__new__(CrystalGraph)
+    graph._fill(datum, lam, denom, orbit, runs, weight_of, eps_of, phi_of, children, parents)
+    return graph
 
 
 def verify_normal(graph):
@@ -386,27 +501,33 @@ def verify_normal(graph):
     source (all eps zero) is element 0 with the highest weight, and that
     an edge exists exactly where phi is positive.  Returns (ok, witness).
     """
-    elements, edges, parents = graph.elements, graph.edges, graph._parents
-    sources = [b for b, el in enumerate(elements) if not any(el.eps)]
-    if sources != [0] or elements[0].weight != graph.highest_weight:
+    weight_of, eps_of, phi_of = graph.weight_of, graph.eps_of, graph.phi_of
+    sources = [b for b, eps in enumerate(eps_of) if not any(eps)]
+    if sources != [0] or weight_of[0] != graph.highest_weight:
         return False, ("highest-weight element", sources)
-    for b, el in enumerate(elements):
-        for i, wt, eps, phi in zip(graph.indices(), el.weight, el.eps, el.phi):
+    columns = list(zip(graph.indices(), graph.children, graph.parents))
+    for b in graph.all_ids():
+        for (i, down, up), wt, eps, phi in zip(columns, weight_of[b], eps_of[b], phi_of[b]):
             if wt != phi - eps:
                 return False, ("weight vs phi-eps", b, i)
-            if ((b, i) in edges) != (phi > 0):
+            if (down[b] >= 0) != (phi > 0):
                 return False, ("edge map vs phi", b, i)
-            if ((b, i) in parents) != (eps > 0):
+            if (up[b] >= 0) != (eps > 0):
                 return False, ("parent map vs eps", b, i)
-    orbit, denom = elements[0].orbit, graph.denominator
-    # raising is lowering conjugated by reversal: reverse each path once
-    reversed_runs = [_reversed_runs(el.runs) for el in elements]
-    for (b, i), child in edges.items():
-        i0, top, low = i - 1, elements[b], elements[child]
-        if low.eps[i0] != top.eps[i0] + 1:
-            return False, ("eps along edge", b, i, child)
-        if low.phi[i0] != top.phi[i0] - 1:
-            return False, ("phi along edge", b, i, child)
-        if _lower(orbit.neg[i0], orbit.refl[i0], denom, reversed_runs[child]) != reversed_runs[b]:
-            return False, ("raising does not invert lowering", b, i, child)
+    orbit, denom, runs = graph.orbit, graph.denominator, graph.runs
+    # raising is lowering conjugated by reversal: reverse both ends of each edge
+    for b in graph.all_ids():
+        above = None
+        for (i, down, _), neg, refl in zip(columns, orbit.neg, orbit.refl):
+            child = down[b]
+            if child < 0:
+                continue
+            i0 = i - 1
+            if eps_of[child][i0] != eps_of[b][i0] + 1:
+                return False, ("eps along edge", b, i, child)
+            if phi_of[child][i0] != phi_of[b][i0] - 1:
+                return False, ("phi along edge", b, i, child)
+            above = above or _reversed_runs(runs[b])
+            if _lower(neg, refl, denom, _reversed_runs(runs[child])) != above:
+                return False, ("raising does not invert lowering", b, i, child)
     return True, None

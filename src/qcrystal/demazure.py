@@ -11,25 +11,35 @@ lambda = (1, 1):
 
 so (1, 2) first saturates letter 2, then letter 1.
 
-``demazure_crystal`` follows one word.  ``demazure_subsets`` builds every
-B_w(lambda) in one pass over the weak order, by increasing length: B_w is
-the f_tilde_i closure of B_{s_i w} for a left descent i, and it is computed
-for every left descent of w.  Two descents that disagree are reported.
-When none do, by induction on length every reduced word of every w cuts
-the same subset, so reduced-word independence is checked exactly, for
-every type, without enumerating reduced words.
+``demazure_crystal`` follows one word.  Every B_w(lambda) comes from one
+walk over the weak order, by increasing length: B_w is the f_tilde_i
+closure of B_{s_i w} for a left descent i, and it is computed for every
+left descent of w.  Two descents that disagree are reported.  When none
+do, by induction on length every reduced word of every w cuts the same
+subset, so reduced-word independence is checked exactly, for every type,
+without enumerating reduced words.
+
+Each s_i w is one length shorter than w, so the walk keeps only two
+length levels of subsets alive: the level being built and the one below
+it.  It yields each B_w as it is built, in ``weyl_group`` order, and a
+caller such as ``verify`` checks it and lets it go; ``demazure_subsets``
+collects the whole walk into a dict.
 
 The i-strings of a crystal are computed once per (graph, i) by
 ``string_index`` and kept with the graph, together with the map from each
-element to its string; the string and filtration checks then cost one
-walk over the subset's members.
+element to its string.  The string and filtration checks share one count
+of the subset's members per string, ``verify_strings`` gives both
+verdicts from it, and saturation and string walks read the graph's child
+columns directly.
 """
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 
-from .root_data import (_check_rank, all_reduced_words, canonical_word,
-                        is_reduced, left_descents, reflect, weyl_group)
+from .root_data import (_check_index, _check_rank, all_reduced_words,
+                        canonical_word, is_reduced, left_descents, reflect,
+                        weyl_group)
 
 
 @dataclass(frozen=True)
@@ -56,16 +66,16 @@ def _saturate(graph, members, i):
     one has met a cycle of i-edges and would not end.
     """
     out = set(members)
-    limit = len(graph)
+    limit, column = len(graph), graph.children[i - 1]
     for b in members:
         steps = 0
-        child = graph.f(b, i)
-        while child is not None:
+        child = column[b]
+        while child >= 0:
             steps += 1
             if steps > limit:
                 raise _endless_string(graph, b, i)
             out.add(child)
-            child = graph.f(child, i)
+            child = column[child]
     return out
 
 
@@ -80,28 +90,54 @@ def demazure_crystal(graph, word):
     return DemazureCrystal(graph, word, frozenset(members))
 
 
+def _subset_levels(graph):
+    """Yield (w, members, disagreement, live) for every w, in ``weyl_group`` order.
+
+    ``members`` is B_w(lambda), the f_tilde_i closure of B_{s_i w} for the
+    first letter i of w.  The closure is also taken for every other left
+    descent j of w; ``disagreement`` is None when all of them agree, else
+    ``("left descents disagree", i, j, b)`` for the first j that does not,
+    with b the smallest element id in one set but not the other.  Only
+    the subsets of w's length and the length below are held, as int
+    arrays; ``live`` is their member count once B_w is added.
+    """
+    datum = graph.datum
+    below, level, length = {}, {(): array("i", [0])}, 0
+    live = 1
+    yield (), frozenset({0}), None, live
+    for w in weyl_group(datum)[1:]:
+        if len(w) > length:
+            live -= sum(map(len, below.values()))
+            below, level, length = level, {}, len(w)
+        descents = iter(left_descents(datum, w).items())
+        i, v = next(descents)  # w[0], the smallest left descent
+        first = frozenset(_saturate(graph, below[v], i))
+        level[w] = array("i", first)
+        live += len(first)
+        disagreement = None
+        for j, v in descents:
+            other = _saturate(graph, below[v], j)
+            if disagreement is None and other != first:
+                disagreement = ("left descents disagree", i, j, min(first ^ other))
+        yield w, first, disagreement, live
+
+
 def demazure_subsets(graph):
     """Every B_w(lambda) in one pass over the weak order, by increasing length.
 
     Returns (subsets, witness).  ``subsets`` maps each canonical word w (in
-    ``weyl_group`` order) to its DemazureCrystal, built as the f_tilde_i
-    closure of B_{s_i w} for the first letter i of w, which is the subset
-    ``demazure_crystal(graph, w)`` cuts.  The closure is also taken for
-    every other left descent j of w; ``witness`` is None when all of them
-    agree, else ``(w, ("left descents disagree", i, j, b))`` for the first
-    such w, with b the smallest element id in one set but not the other.
+    ``weyl_group`` order) to its DemazureCrystal, which is the subset
+    ``demazure_crystal(graph, w)`` cuts.  ``witness`` is None when every
+    left descent of every w gives the same subset, else
+    ``(w, ("left descents disagree", i, j, b))`` for the first w where
+    two do not (see ``_subset_levels``).
     """
-    members = {(): frozenset({0})}
-    witness = None
-    for w in weyl_group(graph.datum)[1:]:
-        found = {i: frozenset(_saturate(graph, members[v], i))
-                 for i, v in left_descents(graph.datum, w).items()}
-        first = found[w[0]]
-        for j, other in found.items():
-            if witness is None and other != first:
-                witness = (w, ("left descents disagree", w[0], j, min(first ^ other)))
-        members[w] = first
-    return {w: DemazureCrystal(graph, w, m) for w, m in members.items()}, witness
+    subsets, witness = {}, None
+    for w, members, disagreement, _ in _subset_levels(graph):
+        subsets[w] = DemazureCrystal(graph, w, members)
+        if witness is None and disagreement is not None:
+            witness = (w, disagreement)
+    return subsets, witness
 
 
 def extremal_weights(datum, lam, word):
@@ -154,7 +190,7 @@ def reduced_word_independence(graph, word):
     return True, None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IString:
     """A maximal f_tilde_i chain: top has eps_i = 0, length equals phi_i(top)."""
 
@@ -174,17 +210,19 @@ def i_strings(graph, i):
     of the crystal, when an element lies in two strings, or when a string
     walk finds a cycle: then the i-edges are not those of a normal crystal.
     """
+    _check_index(graph.datum, i)
     strings, limit = [], len(graph)
-    for b in graph.all_ids():
-        if graph.eps(b, i) != 0:
+    i0, column = i - 1, graph.children[i - 1]
+    for b, eps in enumerate(graph.eps_of):
+        if eps[i0] != 0:
             continue
         chain = [b]
-        child = graph.f(b, i)
-        while child is not None:
+        child = column[b]
+        while child >= 0:
             if len(chain) > limit:
                 raise _endless_string(graph, b, i)
             chain.append(child)
-            child = graph.f(child, i)
+            child = column[child]
         strings.append(IString(i=i, top=b, members=tuple(chain)))
     covered = sum(len(s.members) for s in strings)
     if covered != len(graph):
@@ -207,7 +245,7 @@ def string_index(graph, i):
     index = graph._string_index.get(i)
     if index is None:
         strings = i_strings(graph, i)
-        where = [0] * len(graph)
+        where = array("i", [0]) * len(graph)
         for n, s in enumerate(strings):
             for b in s.members:
                 where[b] = n
@@ -216,21 +254,27 @@ def string_index(graph, i):
 
 
 def _partial_strings(dc, i):
-    """(string, sorted hit) for each i-string dc meets but does not contain, in top order."""
+    """[(string, sorted hit)] for each i-string dc meets but does not contain, in top order.
+
+    One count of the members per string number decides which strings are partial.
+    """
     strings, where = string_index(dc.graph, i)
     members = dc.members
     count = Counter(map(where.__getitem__, members))
-    for n in sorted(n for n, c in count.items() if c < len(strings[n].members)):
-        s = strings[n]
-        yield s, tuple(sorted(members.intersection(s.members)))
+    return [(strings[n], tuple(sorted(members.intersection(strings[n].members))))
+            for n in sorted(n for n, c in count.items() if c < len(strings[n].members))]
+
+
+def _string_verdict(i, partial):
+    for s, hit in partial:
+        if hit != (s.top,):
+            return False, (i, s.top, hit)
+    return True, None
 
 
 def verify_string_property(dc, i):
     """Each i-string meets the subset in itself, its top alone, or nothing."""
-    for s, hit in _partial_strings(dc, i):
-        if hit != (s.top,):
-            return False, (i, s.top, hit)
-    return True, None
+    return _string_verdict(i, _partial_strings(dc, i))
 
 
 def filtration_layers(dc, i):
@@ -249,8 +293,11 @@ def verify_filtration_structure(dc, i):
     l > 0; that is what makes the corresponding filtration quotient a
     dominant line rather than a truncated string.
     """
-    graph = dc.graph
-    for s, hit in _partial_strings(dc, i):
+    return _filtration_verdict(dc.graph, i, _partial_strings(dc, i))
+
+
+def _filtration_verdict(graph, i, partial):
+    for s, hit in partial:
         if len(hit) == 1:
             (b,) = hit
             l = graph.eps(b, i) + graph.phi(b, i)
@@ -259,6 +306,12 @@ def verify_filtration_structure(dc, i):
             return False, ("bad singleton layer", i, b)
         return False, ("layer is a partial string", i, s.top, hit)
     return True, None
+
+
+def verify_strings(dc, i):
+    """(verify_string_property(dc, i), verify_filtration_structure(dc, i)), one string count."""
+    partial = _partial_strings(dc, i)
+    return _string_verdict(i, partial), _filtration_verdict(dc.graph, i, partial)
 
 
 def quotient_strings(big, small, i):

@@ -1,0 +1,81 @@
+"""Columnar crystal graph: its views, shared tables and the logged verify phases."""
+
+import logging
+import re
+
+import pytest
+
+from qcrystal import cli, crystal
+from qcrystal.crystal import e_tilde, eps_phi, f_tilde
+from qcrystal.demazure import demazure_subsets
+from qcrystal.root_data import cartan_datum
+
+
+def test_edge_view_is_a_read_only_mapping(graph_of):
+    graph = graph_of("B2", (1, 1))
+    edges = graph.edges
+    assert len(edges) == sum(graph.f(b, i) is not None
+                             for b in graph.all_ids() for i in graph.indices())
+    assert list(edges) == sorted(edges)
+    for key in [(0, 0), (0, 3), (-1, 1), (len(graph), 1), (0,), "01", None]:
+        assert key not in edges and edges.get(key) is None, key
+    with pytest.raises(TypeError):
+        edges[0, 1] = 2
+    assert graph.f(0, 0) is None and graph.e(-1, 1) is None and graph.f(len(graph), 1) is None
+
+
+def test_element_view_and_shared_string_data(graph_of):
+    graph = graph_of("G2", (2, 2))
+    elements = graph.elements
+    assert len(elements) == len(graph)
+    assert elements[-1] == elements[len(graph) - 1]
+    assert elements[2:5] == [elements[2], elements[3], elements[4]]
+    with pytest.raises(IndexError):
+        elements[len(graph)]
+    # equal weight, eps and phi tuples are one object
+    for column in (graph.weight_of, graph.eps_of, graph.phi_of):
+        assert len({id(t) for t in column}) == len(set(column))
+
+
+def test_public_operators_share_grid_tables_per_shape(graph_of):
+    graph = graph_of("D4", (1, 1, 1, 1))
+    datum = graph.datum
+    crystal._grid_tables.cache_clear()
+    tables = crystal._on_grid(datum, 1, graph.path(5))[0]
+    assert crystal._on_grid(datum, 3, graph.path(900))[0] is tables
+    info = crystal._grid_tables.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 1, 16)
+    for b in range(0, len(graph), 251):
+        path = graph.path(b)
+        for i in graph.indices():
+            down, up = graph.f(b, i), graph.e(b, i)
+            assert f_tilde(datum, i, path) == (None if down is None else graph.path(down))
+            assert e_tilde(datum, i, path) == (None if up is None else graph.path(up))
+            assert eps_phi(datum, i, path) == (graph.eps(b, i), graph.phi(b, i))
+    assert crystal._grid_tables.cache_info().misses == 1
+
+
+def _two_level_peak(graph):
+    """Largest member count of two adjacent length levels, from the all-subsets dict."""
+    sizes = {}
+    for w, dc in demazure_subsets(graph)[0].items():
+        sizes[len(w)] = sizes.get(len(w), 0) + len(dc)
+    return max(sizes[n] + sizes.get(n - 1, 0) for n in sizes)
+
+
+def test_verify_logs_one_line_per_phase(caplog, capsys, graph_of):
+    argv = ["verify", "--type", "B2", "--weight", "1,1", "--format", "json"]
+    assert cli.main(argv) == cli.EXIT_OK
+    quiet = capsys.readouterr().out
+    with caplog.at_level(logging.INFO, logger="qcrystal"):
+        assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == quiet
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("verify phase")]
+    pattern = re.compile(r"verify phase ([a-z -]+): \d+\.\d{3} s(.*)")
+    phases = [pattern.fullmatch(line).groups() for line in lines]
+    assert [name for name, _ in phases] == [
+        "generation", "normal-crystal-relations", "weak-order walk",
+        "weyl-character-agreement", "weyl-dimension-agreement"]
+    assert phases[0][1] == ", 16 elements"
+    peak = _two_level_peak(graph_of("B2", (1, 1)))
+    assert phases[2][1] == f", peak {peak} live member slots"

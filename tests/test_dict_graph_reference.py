@@ -1,0 +1,90 @@
+"""The columnar crystal graph and the two-level verify pass, against the dict-keyed reference.
+
+``dict_graph_reference`` keeps the graph as it was stored before it became
+columns (a ``CrystalElement`` per element and (b, i)-keyed edge and parent
+dicts) and the ``run_verify`` that held every Demazure subset and character
+at once.  Generated crystals, hand-tampered graphs and the ``verify`` rows
+are diffed against it.
+"""
+
+import pytest
+
+import dict_graph_reference as ref
+from qcrystal import cli
+from qcrystal.crystal import CrystalGraph, verify_normal
+from test_integer_kernel import INT_STEP_CASES
+from test_weak_order import ACCEPTANCE
+
+
+def _assert_same_graph(graph, expected):
+    """Ids, edges both ways, weight/eps/phi and paths, element by element."""
+    assert len(graph) == len(expected)
+    assert dict(graph.edges) == expected.edges
+    assert list(graph.edges) == sorted(expected.edges)
+    for b, el in enumerate(expected.elements):
+        assert graph.elements[b] == el, b
+        assert (graph.weight(b), graph.elements[b].steps) == (el.weight, el.steps), b
+        for i in graph.indices():
+            assert (graph.f(b, i), graph.e(b, i)) == (expected.f(b, i), expected.e(b, i)), (b, i)
+            assert (graph.eps(b, i), graph.phi(b, i)) == (expected.eps(b, i), expected.phi(b, i))
+
+
+@pytest.mark.parametrize("name,lam", INT_STEP_CASES)
+def test_columns_match_dict_graph(name, lam, graph_of):
+    graph = graph_of(name, lam)
+    expected = ref.generate_crystal(graph.datum, lam)
+    assert graph.denominator == expected.denominator
+    _assert_same_graph(graph, expected)
+
+
+def _tampered_edges(graph):
+    """The edge tampers of ``test_weak_order`` and ``test_demazure`` on A2 (1,1)."""
+    edges = dict(graph.edges)
+    swapped = dict(edges)
+    swapped[0, 1], swapped[2, 1] = swapped[2, 1], swapped[0, 1]
+    cut = dict(edges)
+    del cut[3, 1]
+    merged = edges | {(0, 1): 3}
+    overlapping = merged.copy()
+    del overlapping[6, 1]
+    cyclic = edges | {(5, 1): 3}
+    return {"swapped": swapped, "cut": cut, "merged": merged,
+            "overlapping": overlapping, "cyclic": cyclic}
+
+
+def _outcome(run, job):
+    """run(job)'s rows with witnesses as text, or the exception it raised."""
+    try:
+        rows, ok = run(job)
+    except RuntimeError as exc:
+        return type(exc).__name__, str(exc)
+    return [(name, good, None if wit is None else str(wit)) for name, good, wit in rows], ok
+
+
+def _job(name, lam, inject=False):
+    argv = ["verify", "--type", name, "--weight", ",".join(map(str, lam))]
+    return cli.parse_args(argv + ["--inject-failure"] * inject)
+
+
+@pytest.mark.parametrize("tamper", ["swapped", "cut", "merged", "overlapping", "cyclic"])
+def test_tampered_graphs_match_dict_graph(tamper, graph_of, monkeypatch):
+    graph = graph_of("A2", (1, 1))
+    edges = _tampered_edges(graph)[tamper]
+    args = graph.datum, graph.highest_weight
+    columns = CrystalGraph(*args, graph.elements, edges, graph.denominator)
+    expected = ref.CrystalGraph(*args, list(graph.elements), edges, graph.denominator)
+    _assert_same_graph(columns, expected)
+    assert verify_normal(columns) == ref.verify_normal(expected)
+    monkeypatch.setattr(cli, "generate_crystal", lambda *a, **k: columns)
+    monkeypatch.setattr(ref, "generate_crystal", lambda *a, **k: expected)
+    job = _job("A2", (1, 1))
+    assert _outcome(cli.run_verify, job) == _outcome(ref.run_verify, job)
+
+
+@pytest.mark.parametrize("inject", [False, True])
+@pytest.mark.parametrize("name,lam", ACCEPTANCE + [("D4", (1, 1, 1, 1))])
+def test_verify_rows_match_all_levels_pass(name, lam, inject):
+    job = _job(name, lam, inject)
+    rows, ok = _outcome(cli.run_verify, job)
+    assert (rows, ok) == _outcome(ref.run_verify, job)
+    assert ok is not inject
