@@ -23,8 +23,8 @@ from .crystal import (DEFAULT_MAX_ELEMENTS, CrystalElement, CrystalGraph,
 from .demazure import (DemazureCrystal, IString, demazure_crystal,
                        demazure_subsets, extremal_element, extremal_weights,
                        filtration_layers, i_strings, quotient_strings,
-                       reduced_word_independence, string_index,
-                       verify_filtration_structure, verify_string_property)
+                       reduced_word_independence, verify_filtration_structure,
+                       verify_string_property)
 from .qarith import (ExactDivisionError, LaurentPoly, bar, eval_at_one,
                      qbinom, qfact, qint)
 from .rank_one import (RankOneModule, act_K, act_divided_f, act_e, act_f,

@@ -26,8 +26,8 @@ from itertools import islice
 from .character import _character_levels, char_of, weyl_character, weyl_dimension
 from .crystal import (DEFAULT_MAX_ELEMENTS, PathKernelError, ResourceCapError,
                       generate_crystal, verify_normal)
-from .demazure import (DemazureCrystal, _subset_levels, demazure_crystal,
-                       string_index, verify_strings)
+from . import demazure
+from .demazure import DemazureCrystal, demazure_crystal
 from .rank_one import RankOneModule, act_e, act_f, verify_sl2_relation
 from .root_data import cartan_datum, longest_word, weyl_order
 
@@ -276,7 +276,7 @@ def emit_rank_one(lam):
 def _corrupt(dc):
     """Drop a mid-string member so the string property must fail."""
     for i in dc.graph.indices():
-        for s in string_index(dc.graph, i)[0]:
+        for s in demazure.i_strings(dc.graph, i):
             if s.length >= 1 and set(s.members) <= dc.members:
                 members = dc.members - {s.members[-1]}
                 return DemazureCrystal(dc.graph, dc.word, frozenset(members))
@@ -309,10 +309,12 @@ def run_verify(job):
     normal = verify_normal(graph)
     start = _phase("normal-crystal-relations", start)
 
+    for i in indices:
+        demazure.i_strings(graph, i)  # raises unless the i-edges partition the crystal
     top_word = longest_word(datum)
     strings = filtration = independence = characters = None
     peak = 0
-    walk = zip(_subset_levels(graph), _character_levels(datum, job.weight))
+    walk = zip(demazure._subset_levels(graph), _character_levels(datum, job.weight))
     for (w, members, disagreement, live), (_, chi) in walk:
         peak = max(peak, live)
         dc = DemazureCrystal(graph, w, members)
@@ -320,7 +322,7 @@ def run_verify(job):
             dc = _corrupt(dc)
             log.info("injected a corrupted subset for %s", w)
         for i in indices:
-            (good, wit), (layered, layer_wit) = verify_strings(dc, i)
+            (good, wit), (layered, layer_wit) = demazure._string_rule(graph, dc.members, i)
             if strings is None and not good:
                 strings = (w, wit)
             if filtration is None and not layered:

@@ -390,7 +390,6 @@ class CrystalGraph:
         self.runs = runs
         self.weight_of, self.eps_of, self.phi_of = weight_of, eps_of, phi_of
         self.children, self.parents = children, parents
-        self._string_index = {}  # i -> i-string index, filled by demazure.string_index
 
     @property
     def edges(self):

@@ -25,16 +25,14 @@ it.  It yields each B_w as it is built, in ``weyl_group`` order, and a
 caller such as ``verify`` checks it and lets it go; ``demazure_subsets``
 collects the whole walk into a dict.
 
-The i-strings of a crystal are computed once per (graph, i) by
-``string_index`` and kept with the graph, together with the map from each
-element to its string.  The string and filtration checks share one count
-of the subset's members per string, ``verify_strings`` gives both
-verdicts from it, and saturation and string walks read the graph's child
-columns directly.
+An i-string is stored once, in the graph's i-th child and parent
+columns; ``i_strings`` lists the strings and checks that the i-edges
+partition the crystal.  Once they do, one local rule reads the string and
+filtration verdicts of a subset off the columns (``verify_strings``), and
+saturation and string walks read the child columns directly.
 """
 
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 
 from .root_data import (_check_index, _check_rank, all_reduced_words,
@@ -237,44 +235,59 @@ def i_strings(graph, i):
     return strings
 
 
-def string_index(graph, i):
-    """(strings, where): ``i_strings(graph, i)`` and each element's string number.
+def _string_rule(graph, members, i):
+    """(string verdict, filtration verdict) of the subset ``members`` for index i.
 
-    Computed once per (graph, i) and kept on the graph.
+    The strings are read off the i-th child and parent columns, which needs
+    ``i_strings(graph, i)`` to have accepted the i-edges as a partition:
+    then a string's top is its one element with no parent.  The subset
+    breaks a string where a member's parent lies outside it, or where a
+    member below the top has its child outside it.  The filtration also
+    fails on a string met at its top alone unless that top is dominant.
+    Each witness comes from the smallest failing top.
     """
-    index = graph._string_index.get(i)
-    if index is None:
-        strings = i_strings(graph, i)
-        where = array("i", [0]) * len(graph)
-        for n, s in enumerate(strings):
-            for b in s.members:
-                where[b] = n
-        index = graph._string_index[i] = (strings, where)
-    return index
+    i0 = i - 1
+    down, up = graph.children[i0], graph.parents[i0]
+    below = set(map(down.__getitem__, members)).difference(members, (-1,))
+    heads = set(map(up.__getitem__, below))  # members whose child lies outside
+    # on broken strings: parents outside, and members below a top with a child outside
+    broken = set(map(up.__getitem__, members)).difference(members, (-1,))
+    broken.update(b for b in heads if up[b] >= 0)
+    tops = set()
+    for b in broken:
+        while up[b] >= 0:
+            b = up[b]
+        tops.add(b)
+    string = filtration = True, None
+    if tops:
+        top = min(tops)
+        chain = [top]
+        while down[chain[-1]] >= 0:
+            chain.append(down[chain[-1]])
+        hit = tuple(sorted(members.intersection(chain)))
+        string = False, (i, top, hit)
+        filtration = False, (("bad singleton layer", i, *hit) if len(hit) == 1
+                             else ("layer is a partial string", i, top, hit))
+    wt, eps, phi = graph.weight_of, graph.eps_of, graph.phi_of
+    lone = [b for b in heads - broken  # tops with a child outside, not dominant
+            if not wt[b][i0] == eps[b][i0] + phi[b][i0] > 0]
+    if lone and (not tops or min(lone) < min(tops)):
+        filtration = False, ("bad singleton layer", i, min(lone))
+    return string, filtration
 
 
-def _partial_strings(dc, i):
-    """[(string, sorted hit)] for each i-string dc meets but does not contain, in top order.
+def verify_strings(dc, i):
+    """(verify_string_property(dc, i), verify_filtration_structure(dc, i)) by one rule.
 
-    One count of the members per string number decides which strings are partial.
+    Raises the RuntimeError of ``i_strings`` when the i-edges are not a partition.
     """
-    strings, where = string_index(dc.graph, i)
-    members = dc.members
-    count = Counter(map(where.__getitem__, members))
-    return [(strings[n], tuple(sorted(members.intersection(strings[n].members))))
-            for n in sorted(n for n, c in count.items() if c < len(strings[n].members))]
-
-
-def _string_verdict(i, partial):
-    for s, hit in partial:
-        if hit != (s.top,):
-            return False, (i, s.top, hit)
-    return True, None
+    i_strings(dc.graph, i)
+    return _string_rule(dc.graph, dc.members, i)
 
 
 def verify_string_property(dc, i):
     """Each i-string meets the subset in itself, its top alone, or nothing."""
-    return _string_verdict(i, _partial_strings(dc, i))
+    return verify_strings(dc, i)[0]
 
 
 def filtration_layers(dc, i):
@@ -293,25 +306,7 @@ def verify_filtration_structure(dc, i):
     l > 0; that is what makes the corresponding filtration quotient a
     dominant line rather than a truncated string.
     """
-    return _filtration_verdict(dc.graph, i, _partial_strings(dc, i))
-
-
-def _filtration_verdict(graph, i, partial):
-    for s, hit in partial:
-        if len(hit) == 1:
-            (b,) = hit
-            l = graph.eps(b, i) + graph.phi(b, i)
-            if b == s.top and graph.weight(b)[i - 1] == l and l > 0:
-                continue
-            return False, ("bad singleton layer", i, b)
-        return False, ("layer is a partial string", i, s.top, hit)
-    return True, None
-
-
-def verify_strings(dc, i):
-    """(verify_string_property(dc, i), verify_filtration_structure(dc, i)), one string count."""
-    partial = _partial_strings(dc, i)
-    return _string_verdict(i, partial), _filtration_verdict(dc.graph, i, partial)
+    return verify_strings(dc, i)[1]
 
 
 def quotient_strings(big, small, i):
@@ -333,7 +328,7 @@ def quotient_strings(big, small, i):
         raise ValueError(
             f"words {big.word} / {small.word} are not a covering pair for letter {i}")
     diff = big.members - small.members
-    for s in string_index(big.graph, i)[0]:
+    for s in i_strings(big.graph, i):
         hit = diff.intersection(s.members)
         if not hit:
             continue

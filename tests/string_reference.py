@@ -1,8 +1,9 @@
 """Reference string checks: one set intersection per i-string.
 
 These are the straightforward forms of ``verify_string_property`` and
-``verify_filtration_structure``, which instead walk the subset's members
-over the string index.  Kept for the differential tests only.
+``verify_filtration_structure``, which instead read the subset's strings
+off the crystal's child and parent columns with one local rule.  Kept for
+the differential tests only.
 """
 
 from qcrystal.demazure import i_strings

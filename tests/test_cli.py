@@ -306,6 +306,24 @@ def test_rank_one_resource_cap(capsys):
     assert "crystal chain: 0 -> 1 -> 2 -> 3 -> 4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, size", [
+    (["crystal", "--type", "A2", "--weight", "1,1"], 8),
+    (["demazure", "--type", "A2", "--weight", "1,1", "--word", "1"], 8),
+    (["character", "--type", "A2", "--weight", "1,1"], 8),
+    (["verify", "--type", "A2", "--weight", "1,1"], 8),
+    (["rank-one", "--weight", "4"], 5),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_each_command_at_and_just_above_its_cap(argv, size, tmp_path, capsys):
+    # size is the crystal's element count (for rank-one, the lambda + 1 chain)
+    out = tmp_path / "out"
+    assert main([*argv, "--max-elements", str(size), "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes()
+    out.unlink()
+    assert main([*argv, "--max-elements", str(size - 1), "--out", str(out)]) == EXIT_RESOURCE
+    assert "above the cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_write_failure_exit_code(tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "out.json"
     result = run_cli("crystal", "--type", "A1", "--weight", "1",

@@ -4,7 +4,8 @@
 columns (a ``CrystalElement`` per element and (b, i)-keyed edge and parent
 dicts) and the ``run_verify`` that held every Demazure subset and character
 at once.  Generated crystals, hand-tampered graphs and the ``verify`` rows
-are diffed against it.
+are diffed against it, and the string checks must reject the tampers that
+``i_strings`` rejects.
 """
 
 import pytest
@@ -12,6 +13,10 @@ import pytest
 import dict_graph_reference as ref
 from qcrystal import cli
 from qcrystal.crystal import CrystalGraph, verify_normal
+from qcrystal.demazure import (demazure_crystal, i_strings,
+                               verify_filtration_structure,
+                               verify_string_property, verify_strings)
+from qcrystal.root_data import weyl_group
 from test_integer_kernel import INT_STEP_CASES
 from test_weak_order import ACCEPTANCE
 
@@ -88,3 +93,20 @@ def test_verify_rows_match_all_levels_pass(name, lam, inject):
     rows, ok = _outcome(cli.run_verify, job)
     assert (rows, ok) == _outcome(ref.run_verify, job)
     assert ok is not inject
+
+
+@pytest.mark.parametrize("tamper", ["cut", "overlapping"])
+def test_string_checks_raise_as_i_strings_does(tamper, graph_of):
+    # the string rule reads strings off the columns, so it must not judge
+    # i-edges that ``i_strings`` rejects as a partition
+    graph = graph_of("A2", (1, 1))
+    tampered = CrystalGraph(graph.datum, graph.highest_weight, graph.elements,
+                            _tampered_edges(graph)[tamper], graph.denominator)
+    with pytest.raises(RuntimeError) as expected:
+        i_strings(tampered, 1)
+    for w in weyl_group(tampered.datum):
+        dc = demazure_crystal(tampered, w)
+        for check in (verify_string_property, verify_filtration_structure, verify_strings):
+            with pytest.raises(RuntimeError) as raised:
+                check(dc, 1)
+            assert str(raised.value) == str(expected.value)

@@ -2,8 +2,9 @@
 
 ``demazure_subsets`` and ``demazure_characters`` build every B_w(lambda)
 and every D_w(e^lambda) in one pass over the weak order; the string checks
-walk a per-graph string index.  Each is compared here with the single-word
-or intersection-loop form it replaced in ``run_verify``.
+read the subset's strings off the crystal's child and parent columns.  Each
+is compared here with the single-word or intersection-loop form it replaced
+in ``run_verify``.
 """
 
 import dataclasses
@@ -18,9 +19,9 @@ from qcrystal.character import (FormalCharacter, apply_demazure_word,
                                 demazure_characters)
 from qcrystal.crystal import CrystalGraph
 from qcrystal.demazure import (demazure_crystal, demazure_subsets, i_strings,
-                               reduced_word_independence, string_index,
+                               reduced_word_independence,
                                verify_filtration_structure,
-                               verify_string_property)
+                               verify_string_property, verify_strings)
 from qcrystal.root_data import cartan_datum, left_descents, weyl_group, weyl_order
 from string_reference import filtration_structure, string_property
 
@@ -109,7 +110,8 @@ def _variants(dc):
         yield dataclasses.replace(dc, members=dc.members | {outside[-1]})
 
 
-@pytest.mark.parametrize("name,lam", ACCEPTANCE + [("C3", (1, 0, 1))])
+@pytest.mark.parametrize("name,lam", ACCEPTANCE + [("C3", (1, 0, 1)), ("A3", (1, 1, 1)),
+                                                  ("D4", (0, 1, 0, 0))])
 def test_string_checks_match_intersection_loops(name, lam, graph_of):
     graph = graph_of(name, lam)
     failures = 0
@@ -122,16 +124,6 @@ def test_string_checks_match_intersection_loops(name, lam, graph_of):
                 failures += not expected[0]
     # the corrupted variants do exercise the failure witnesses
     assert failures > 0 or len(graph) == 1
-
-
-def test_string_index_built_once_per_graph_and_index(graph_of):
-    graph = graph_of("B2", (1, 1))
-    for i in graph.indices():
-        strings, where = string_index(graph, i)
-        assert string_index(graph, i)[0] is strings
-        assert [s.top for s in strings] == [s.top for s in i_strings(graph, i)]
-        for n, s in enumerate(strings):
-            assert all(where[b] == n for b in s.members)
 
 
 def test_verify_builds_each_string_partition_once(monkeypatch, capsys):
@@ -186,8 +178,31 @@ def test_i_strings_rejects_overlapping_strings(graph_of):
     edges = dict(graph.edges)
     edges[(0, 1)] = 3
     del edges[(6, 1)]
-    for run in (lambda g: i_strings(g, 1), lambda g: string_index(g, 1)):
-        tampered = CrystalGraph(graph.datum, graph.highest_weight, graph.elements,
-                                edges, graph.denominator)
-        with pytest.raises(RuntimeError, match="element 3 lies in two 1-strings"):
-            run(tampered)
+    tampered = CrystalGraph(graph.datum, graph.highest_weight, graph.elements,
+                            edges, graph.denominator)
+    with pytest.raises(RuntimeError, match="element 3 lies in two 1-strings"):
+        i_strings(tampered, 1)
+
+
+@pytest.mark.parametrize("name, lam, weight, phi", [
+    ("A2", (1, 1), (1, 1), (2, 1)), ("A2", (1, 1), (0, 1), (0, 1)), ("A1", (2,), (2,), (3,))])
+def test_string_checks_match_intersection_loops_on_a_lone_top(name, lam, weight, phi, graph_of):
+    # element 0 keeps its 1-string, but a subset that meets that string in
+    # {0} alone no longer has a dominant top: its 1-weight is not
+    # l = eps_1 + phi_1, or l = 0.  On A1 (2) the subset {0, 2} also meets
+    # the string 0 -> 1 -> 2 at a top that is not dominant and breaks it.
+    graph = graph_of(name, lam)
+    elements = list(graph.elements)
+    elements[0] = dataclasses.replace(elements[0], weight=weight, phi=phi)
+    tampered = CrystalGraph(graph.datum, graph.highest_weight, elements,
+                            dict(graph.edges), graph.denominator)
+    rules = set()
+    for w in weyl_group(tampered.datum):
+        for dc in _variants(demazure_crystal(tampered, w)):
+            for i in tampered.indices():
+                expected = string_property(dc, i), filtration_structure(dc, i)
+                assert verify_strings(dc, i) == expected, (w, i)
+                layered, witness = expected[1]
+                if not layered:
+                    rules.add(witness[0])
+    assert rules == {"bad singleton layer", "layer is a partial string"}
