@@ -15,7 +15,7 @@ print(f"(the Weyl dimension formula predicts {qc.weyl_dimension(datum, lam)})\n"
 
 print("id  weight    eps     phi")
 for b in graph.all_ids():
-    print(f"{b:>2}  {graph.weight(b)}  {graph.elements[b].eps}  {graph.elements[b].phi}")
+    print(f"{b:>2}  {graph.weight(b)}  {graph.eps_of[b]}  {graph.phi_of[b]}")
 
 # Element 0 is always the highest-weight element: every raising operator
 # kills it, and its phi values read off the highest weight itself.

@@ -16,10 +16,9 @@ from .character import (FormalCharacter, apply_demazure_word, char_of,
                         demazure_characters, demazure_operator,
                         verify_demazure_character, weyl_character,
                         weyl_dimension)
-from .crystal import (DEFAULT_MAX_ELEMENTS, CrystalElement, CrystalGraph,
-                      LSPath, PathKernelError, ResourceCapError, e_tilde,
-                      eps_phi, f_tilde, generate_crystal, straight_path,
-                      verify_normal)
+from .crystal import (DEFAULT_MAX_ELEMENTS, CrystalGraph, LSPath,
+                      PathKernelError, ResourceCapError, e_tilde, eps_phi,
+                      f_tilde, generate_crystal, straight_path, verify_normal)
 from .demazure import (DemazureCrystal, IString, demazure_crystal,
                        demazure_subsets, extremal_element, extremal_weights,
                        filtration_layers, i_strings, quotient_strings,

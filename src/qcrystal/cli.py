@@ -149,15 +149,6 @@ def _json_ints(values, indent):
     return "[" + inner + ("," + inner).join(map(str, values)) + "\n" + " " * indent + "]"
 
 
-def _edge_triples(graph):
-    """(b, i, child) for every edge in (b, i) order, read off the child columns."""
-    columns = list(zip(graph.indices(), graph.children))
-    for b in graph.all_ids():
-        for i, column in columns:
-            if column[b] >= 0:
-                yield b, i, column[b]
-
-
 def _json_pieces(graph, members):
     yield (f'{{\n  "family": {json.dumps(graph.datum.family)},\n'
            f'  "rank": {graph.datum.rank},\n'
@@ -170,7 +161,7 @@ def _json_pieces(graph, members):
                f'      "phi": {_json_ints(phi, 6)}\n    }}')
     yield '\n  ],\n  "edges": ['
     sep = ""
-    for b, i, child in _edge_triples(graph):
+    for b, i, child in graph.edge_triples():
         yield (f'{sep}\n    {{\n      "from": {b},\n'
                f'      "to": {child},\n      "i": {i}\n    }}')
         sep = ","
@@ -196,7 +187,7 @@ def _dot_pieces(graph, members):
         label = "(" + ", ".join(map(str, wt)) + ")"
         extra = ", peripheries=2" if members is not None and b in members else ""
         yield f'  n{b} [label="{label}"{extra}];\n'
-    for b, i, child in _edge_triples(graph):
+    for b, i, child in graph.edge_triples():
         yield f'  n{b} -> n{child} [label="{i}"];\n'
     yield "}\n"
 
@@ -221,7 +212,7 @@ def _text_pieces(graph, members):
         wt, eps, phi = (", ".join(map(str, values)) for values in row)
         yield f"{mark}{b:>4}  weight=({wt})  eps=({eps})  phi=({phi})\n"
     yield "edges:\n"
-    for b, i, child in _edge_triples(graph):
+    for b, i, child in graph.edge_triples():
         yield f"  {b} -{i}-> {child}\n"
 
 

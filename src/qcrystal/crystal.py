@@ -22,17 +22,19 @@ PathKernelError.  The public LSPath keeps exact Fraction coordinates and
 is mapped onto the pairs of its own shape for each operator call, with
 the tables of a shape cached across calls.
 
-A generated crystal is stored as columns indexed by element id rather
-than as one object per element: a list of path tuples, lists of weight,
-eps and phi tuples (one tuple object per distinct value), and per index
-i one ``array('i')`` column of f_tilde_i targets and one of e_tilde_i
-sources, -1 for none.  ``CrystalGraph.edges`` and ``.elements`` are
-read-only views over the columns.
+A crystal is stored as columns indexed by element id rather than as one
+object per element: a list of path tuples, lists of weight, eps and phi
+tuples (one tuple object per distinct value in a generated crystal), and
+per index i one ``array('i')`` column of f_tilde_i targets and one of
+e_tilde_i sources, -1 for none.  ``CrystalGraph`` has one constructor,
+which takes these columns and derives the e_tilde_i sources from the
+f_tilde_i targets; where two i-edges enter one child, the larger source
+id names its parent.  ``CrystalGraph.edges`` is a fresh {(b, i): child}
+dict built on each access.
 """
 
 from array import array
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import chain, groupby
@@ -276,21 +278,6 @@ def eps_phi(datum, i, path):
     return eps, phi
 
 
-@dataclass(frozen=True, slots=True)
-class CrystalElement:
-    """One crystal vertex: its path as ``runs`` over the ``orbit`` tables, and string data."""
-
-    runs: tuple[int, ...]
-    weight: tuple[int, ...]
-    eps: tuple[int, ...]
-    phi: tuple[int, ...]
-    orbit: _Orbit = field(repr=False, compare=False)
-
-    @property
-    def steps(self):
-        return self.orbit.steps(self.runs)
-
-
 def _follow(columns, b, i):
     """``columns[i - 1][b]`` as an id; None for -1, or for an i or b out of range."""
     if 0 < i <= len(columns) and b >= 0:
@@ -298,52 +285,6 @@ def _follow(columns, b, i):
         if b < len(column) and column[b] >= 0:
             return column[b]
     return None
-
-
-class _Edges(Mapping):
-    """Read-only {(b, i): child} view of the child columns, iterated in (b, i) order."""
-
-    __slots__ = ("_columns",)
-
-    def __init__(self, columns):
-        self._columns = columns
-
-    def __getitem__(self, key):
-        try:
-            child = _follow(self._columns, *key)
-        except TypeError:
-            child = None
-        if child is None:
-            raise KeyError(key)
-        return child
-
-    def __iter__(self):
-        columns = self._columns
-        for b in range(len(columns[0])):
-            for i, column in enumerate(columns, 1):
-                if column[b] >= 0:
-                    yield b, i
-
-    def __len__(self):
-        return sum(len(column) - column.count(-1) for column in self._columns)
-
-
-class _Elements(Sequence):
-    """Read-only sequence of ``CrystalElement`` records, assembled from the columns."""
-
-    __slots__ = ("_graph",)
-
-    def __init__(self, graph):
-        self._graph = graph
-
-    def __len__(self):
-        return len(self._graph.runs)
-
-    def __getitem__(self, b):
-        if isinstance(b, slice):
-            return [self[k] for k in range(len(self))[b]]
-        g = self._graph
-        return CrystalElement(g.runs[b], g.weight_of[b], g.eps_of[b], g.phi_of[b], g.orbit)
 
 
 class CrystalGraph:
@@ -355,49 +296,43 @@ class CrystalGraph:
     are stored as (orbit index, length) pairs whose lengths sum to
     ``denominator``, the lcm of the pairings <lambda, beta^vee>.
 
-    The graph is a set of columns indexed by element id: ``runs[b]`` is
-    the path of b over the ``orbit`` tables; ``weight_of[b]``,
-    ``eps_of[b]`` and ``phi_of[b]`` are rank-tuples, shared between equal
-    values; and for i0 = i - 1, ``children[i0][b]`` and ``parents[i0][b]``
-    are the ids of f_tilde_i(b) and e_tilde_i(b) in ``array('i')``
-    columns, -1 for none.  ``edges`` and ``elements`` are read-only
-    views of the columns as an {(b, i): child} mapping and as a sequence
-    of ``CrystalElement`` records.
-
-    The constructor takes ``CrystalElement`` records and an {(b, i):
-    child} edge map, for graphs assembled or altered by hand; where two
-    edges enter one child, the later one names its parent.
+    The graph is a set of columns indexed by element id, and the one
+    constructor takes them: ``runs[b]`` is the path of b over the
+    ``orbit`` tables; ``weight_of[b]``, ``eps_of[b]`` and ``phi_of[b]``
+    are rank-tuples; and for i0 = i - 1, ``children[i0][b]`` is the id of
+    f_tilde_i(b) in an ``array('i')`` column, -1 for none.  The
+    constructor derives the matching ``parents`` columns of e_tilde_i
+    sources; where two i-edges enter one child, the larger source id
+    names its parent.  ``edges`` builds a fresh {(b, i): child} dict.
     """
 
-    def __init__(self, datum, highest_weight, elements, edges, denominator):
-        n = len(elements)
-        children = [array("i", [-1]) * n for _ in datum.indices()]
-        parents = [array("i", [-1]) * n for _ in datum.indices()]
-        for (b, i), child in edges.items():
-            children[i - 1][b] = child
-            parents[i - 1][child] = b
-        self._fill(datum, highest_weight, denominator, elements[0].orbit if n else None,
-                   [el.runs for el in elements], [el.weight for el in elements],
-                   [el.eps for el in elements], [el.phi for el in elements],
-                   children, parents)
-
-    def _fill(self, datum, highest_weight, denominator, orbit,
-              runs, weight_of, eps_of, phi_of, children, parents):
+    def __init__(self, datum, highest_weight, denominator, orbit,
+                 runs, weight_of, eps_of, phi_of, children):
         self.datum = datum
         self.highest_weight = tuple(highest_weight)
         self.denominator = denominator
         self.orbit = orbit
         self.runs = runs
         self.weight_of, self.eps_of, self.phi_of = weight_of, eps_of, phi_of
-        self.children, self.parents = children, parents
+        self.children = children
+        self.parents = [array("i", [-1]) * len(runs) for _ in children]
+        for column, up in zip(children, self.parents):
+            for b, child in enumerate(column):
+                if child >= 0:
+                    up[child] = b
+
+    def edge_triples(self):
+        """(b, i, child) for every edge in (b, i) order, read off the child columns."""
+        columns = list(zip(self.indices(), self.children))
+        for b in self.all_ids():
+            for i, column in columns:
+                if column[b] >= 0:
+                    yield b, i, column[b]
 
     @property
     def edges(self):
-        return _Edges(self.children)
-
-    @property
-    def elements(self):
-        return _Elements(self)
+        """A fresh {(b, i): child} dict of every edge, in (b, i) order."""
+        return {(b, i): child for b, i, child in self.edge_triples()}
 
     def __len__(self):
         return len(self.runs)
@@ -414,9 +349,11 @@ class CrystalGraph:
         return _follow(self.parents, b, i)
 
     def eps(self, b, i):
+        _check_index(self.datum, i)
         return self.eps_of[b][i - 1]
 
     def phi(self, b, i):
+        _check_index(self.datum, i)
         return self.phi_of[b][i - 1]
 
     def weight(self, b):
@@ -436,7 +373,8 @@ def generate_crystal(datum, lam, max_elements=DEFAULT_MAX_ELEMENTS):
     Refuses up front when the Weyl dimension exceeds ``max_elements``
     (and again during generation, in case the two ever disagree).  Each
     element's weight, eps and phi are read off the same height functions
-    that its lowering uses.  The columns grow one BFS level at a time.
+    that its lowering uses.  The child columns grow one BFS level at a
+    time; the constructor derives the parent columns from them.
     """
     lam = tuple(lam)
     projected = weyl_dimension(datum, lam)
@@ -452,7 +390,6 @@ def generate_crystal(datum, lam, max_elements=DEFAULT_MAX_ELEMENTS):
     weight_of, eps_of, phi_of = [], [], []
     shared = {}  # one tuple object per distinct weight, eps or phi value
     children = [array("i", [-1]) for _ in rows]
-    parents = [array("i", [-1]) for _ in rows]
     start = 0
     while start < len(runs):
         pending = set()
@@ -480,15 +417,11 @@ def generate_crystal(datum, lam, max_elements=DEFAULT_MAX_ELEMENTS):
             runs.append(key)
         if len(runs) > max_elements:
             raise ResourceCapError(f"crystal generation passed {max_elements} elements")
-        for column in chain(children, parents):
+        for column in children:
             column.extend(array("i", [-1]) * len(pending))
         for b, i0, key in hits:
-            child = ids[key]
-            children[i0][b] = child
-            parents[i0][child] = b
-    graph = CrystalGraph.__new__(CrystalGraph)
-    graph._fill(datum, lam, denom, orbit, runs, weight_of, eps_of, phi_of, children, parents)
-    return graph
+            children[i0][b] = ids[key]
+    return CrystalGraph(datum, lam, denom, orbit, runs, weight_of, eps_of, phi_of, children)
 
 
 def verify_normal(graph):

@@ -292,9 +292,11 @@ def verify_string_property(dc, i):
 
 def filtration_layers(dc, i):
     """Members split by string length l = eps_i + phi_i (constant on strings)."""
+    graph, i0 = dc.graph, i - 1
+    _check_index(graph.datum, i)
     layers: dict[int, set[int]] = {}
     for b in dc.members:
-        l = dc.graph.eps(b, i) + dc.graph.phi(b, i)
+        l = graph.eps_of[b][i0] + graph.phi_of[b][i0]
         layers.setdefault(l, set()).add(b)
     return {l: frozenset(v) for l, v in sorted(layers.items())}
 

@@ -6,25 +6,49 @@ length levels: a ``CrystalElement`` per element, the lowering edges in a
 (b, i)-keyed dict with a parent dict beside it, every Demazure subset and
 character held at once, and each string check counting partial strings on
 its own.  The code below is that version, unchanged except that it reads
-the path kernel from ``qcrystal.crystal``.  ``test_dict_graph_reference.py``
-diffs the library against it.  Do not import it from ``src/``.
+the path kernel from ``qcrystal.crystal`` and keeps the ``CrystalElement``
+record here, since the library graph has none; ``records`` reads them off
+a columnar graph.  ``test_dict_graph_reference.py`` diffs the library
+against it.  Do not import it from ``src/``.
 """
 
 import logging
 from collections import Counter
+from dataclasses import dataclass, field
 from functools import cache
 
 from qcrystal.character import (FormalCharacter, char_of, demazure_operator,
                                 weyl_character, weyl_dimension)
-from qcrystal.crystal import (DEFAULT_MAX_ELEMENTS, CrystalElement,
-                              ResourceCapError, _denominator, _from_grid,
-                              _lower, _lower_runs, _Orbit, _reversed_runs,
-                              _run_heights, _string_data)
+from qcrystal.crystal import (DEFAULT_MAX_ELEMENTS, ResourceCapError,
+                              _denominator, _from_grid, _lower, _lower_runs,
+                              _Orbit, _reversed_runs, _run_heights,
+                              _string_data)
 from qcrystal.demazure import DemazureCrystal, IString
 from qcrystal.root_data import (_check_rank, cartan_datum, left_descents,
                                 longest_word, weyl_group)
 
 log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True, slots=True)
+class CrystalElement:
+    """One crystal vertex: its path as ``runs`` over the ``orbit`` tables, and string data."""
+
+    runs: tuple[int, ...]
+    weight: tuple[int, ...]
+    eps: tuple[int, ...]
+    phi: tuple[int, ...]
+    orbit: _Orbit = field(repr=False, compare=False)
+
+    @property
+    def steps(self):
+        return self.orbit.steps(self.runs)
+
+
+def records(graph):
+    """The ``CrystalElement`` records of a columnar ``qcrystal`` graph."""
+    return [CrystalElement(*row, graph.orbit) for row in zip(
+        graph.runs, graph.weight_of, graph.eps_of, graph.phi_of)]
 
 
 class CrystalGraph:

@@ -1,13 +1,15 @@
-"""Columnar crystal graph: its views, shared tables and the logged verify phases."""
+"""The columnar crystal graph: edges, parent rule, index checks, shared tables, verify log."""
 
 import logging
 import re
 
 import pytest
 
+from conftest import tampered
 from qcrystal import cli, crystal
 from qcrystal.crystal import e_tilde, eps_phi, f_tilde
-from qcrystal.demazure import demazure_subsets
+from qcrystal.demazure import (demazure_crystal, demazure_subsets,
+                               filtration_layers, i_strings)
 from qcrystal.root_data import cartan_datum
 
 
@@ -19,22 +21,42 @@ def test_edge_view_is_a_read_only_mapping(graph_of):
     assert list(edges) == sorted(edges)
     for key in [(0, 0), (0, 3), (-1, 1), (len(graph), 1), (0,), "01", None]:
         assert key not in edges and edges.get(key) is None, key
-    with pytest.raises(TypeError):
-        edges[0, 1] = 2
+    # each access builds a fresh dict: changing one leaves the graph as it was
+    edges[0, 1] = 2
+    del edges[0, 2]
+    assert graph.edges != edges and len(graph.edges) == len(edges) + 1
+    assert (graph.f(0, 1), graph.f(0, 2), graph.e(2, 1)) == (1, 2, None)
     assert graph.f(0, 0) is None and graph.e(-1, 1) is None and graph.f(len(graph), 1) is None
 
 
 def test_element_view_and_shared_string_data(graph_of):
     graph = graph_of("G2", (2, 2))
-    elements = graph.elements
-    assert len(elements) == len(graph)
-    assert elements[-1] == elements[len(graph) - 1]
-    assert elements[2:5] == [elements[2], elements[3], elements[4]]
-    with pytest.raises(IndexError):
-        elements[len(graph)]
+    for column in (graph.runs, graph.weight_of, graph.eps_of, graph.phi_of):
+        assert len(column) == len(graph)
     # equal weight, eps and phi tuples are one object
     for column in (graph.weight_of, graph.eps_of, graph.phi_of):
         assert len({id(t) for t in column}) == len(set(column))
+
+
+def test_the_larger_source_names_the_parent_of_a_shared_child(graph_of):
+    # the "merged" tamper: both 0 and 2 have a 1-edge to 3
+    graph = graph_of("A2", (1, 1))
+    merged = tampered(graph, graph.edges | {(0, 1): 3})
+    assert merged.e(3, 1) == 2
+    assert merged.e(1, 1) is None
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_string_data_rejects_an_index_out_of_range(i, graph_of):
+    # eps_of[b][i - 1] alone would read the last index at i = 0
+    graph = graph_of("A2", (1, 1))
+    dc = demazure_crystal(graph, (1,))
+    message = re.escape(f"simple-root index {i} out of range 1..2")
+    for read in (lambda: graph.eps(0, i), lambda: graph.phi(0, i),
+                 lambda: filtration_layers(dc, i), lambda: i_strings(graph, i)):
+        with pytest.raises(IndexError, match=message):
+            read()
+    assert graph.f(0, i) is None and graph.e(5, i) is None
 
 
 def test_public_operators_share_grid_tables_per_shape(graph_of):

@@ -53,7 +53,8 @@ def test_top_element_is_the_straight_path(name):
         graph = generate_crystal(datum, lam)
         denom = ref.denominator(datum, lam)
         assert graph.denominator == denom
-        assert graph.elements[0].steps == ((tuple(denom * x for x in lam),) if any(lam) else ())
+        top = (tuple(denom * x for x in lam),) if any(lam) else ()
+        assert graph.orbit.steps(graph.runs[0]) == top
         assert graph.path(0) == straight_path(datum, lam)
 
 

@@ -1,15 +1,15 @@
 """Path model: root operators, crystal generation, normality, oracles."""
 
-import dataclasses
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from conftest import tampered
 from qcrystal.character import weyl_dimension
-from qcrystal.crystal import (CrystalGraph, LSPath, ResourceCapError,
-                              e_tilde, eps_phi, f_tilde, generate_crystal,
-                              straight_path, verify_normal)
+from qcrystal.crystal import (LSPath, ResourceCapError, e_tilde, eps_phi,
+                              f_tilde, generate_crystal, straight_path,
+                              verify_normal)
 from qcrystal.rank_one import RankOneModule, crystal_f_tilde
 from qcrystal.root_data import cartan_datum, dominance_leq, reflect
 
@@ -107,32 +107,16 @@ def test_verify_normal(name, lam, graph_of):
     assert ok, witness
 
 
-def _tampered(graph, elements=None, edges=None):
-    """A fresh graph sharing ``graph``'s data except the replaced parts."""
-    return CrystalGraph(graph.datum, graph.highest_weight,
-                        graph.elements if elements is None else elements,
-                        graph.edges if edges is None else edges,
-                        graph.denominator)
-
-
-def _with_string_data(graph, b, eps=None, phi=None):
-    elements = list(graph.elements)
-    el = elements[b]
-    elements[b] = dataclasses.replace(el, eps=el.eps if eps is None else eps,
-                                      phi=el.phi if phi is None else phi)
-    return _tampered(graph, elements=elements)
-
-
 def _swapped(graph, a, b):
-    edges = dict(graph.edges)
+    edges = graph.edges
     edges[a], edges[b] = edges[b], edges[a]
-    return _tampered(graph, edges=edges)
+    return tampered(graph, edges)
 
 
 def _without(graph, key):
-    edges = dict(graph.edges)
+    edges = graph.edges
     del edges[key]
-    return _tampered(graph, edges=edges)
+    return tampered(graph, edges)
 
 
 def test_verify_normal_tampered_graphs(graph_of):
@@ -140,10 +124,10 @@ def test_verify_normal_tampered_graphs(graph_of):
     # read the element tuples and edge maps directly
     a2, b2 = graph_of("A2", (1, 1)), graph_of("B2", (1, 1))
     cases = [
-        (_with_string_data(a2, 3, eps=(2, 0)), ("weight vs phi-eps", 3, 1)),
-        (_with_string_data(a2, 3, eps=(2, 0), phi=(2, 0)), ("eps along edge", 2, 1, 3)),
-        (_with_string_data(a2, 5, eps=(0, 0)), ("highest-weight element", [0, 5])),
-        (_with_string_data(b2, 9, eps=(0, b2.eps(9, 2)), phi=(-1, b2.phi(9, 2))),
+        (tampered(a2, eps={3: (2, 0)}), ("weight vs phi-eps", 3, 1)),
+        (tampered(a2, eps={3: (2, 0)}, phi={3: (2, 0)}), ("eps along edge", 2, 1, 3)),
+        (tampered(a2, eps={5: (0, 0)}), ("highest-weight element", [0, 5])),
+        (tampered(b2, eps={9: (0, b2.eps(9, 2))}, phi={9: (-1, b2.phi(9, 2))}),
          ("parent map vs eps", 9, 1)),
         (_without(a2, (3, 1)), ("edge map vs phi", 3, 1)),
         (_without(b2, (7, 1)), ("edge map vs phi", 7, 1)),

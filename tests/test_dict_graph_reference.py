@@ -11,8 +11,9 @@ are diffed against it, and the string checks must reject the tampers that
 import pytest
 
 import dict_graph_reference as ref
+from conftest import tampered
 from qcrystal import cli
-from qcrystal.crystal import CrystalGraph, verify_normal
+from qcrystal.crystal import verify_normal
 from qcrystal.demazure import (demazure_crystal, i_strings,
                                verify_filtration_structure,
                                verify_string_property, verify_strings)
@@ -24,11 +25,12 @@ from test_weak_order import ACCEPTANCE
 def _assert_same_graph(graph, expected):
     """Ids, edges both ways, weight/eps/phi and paths, element by element."""
     assert len(graph) == len(expected)
-    assert dict(graph.edges) == expected.edges
+    assert graph.edges == expected.edges
     assert list(graph.edges) == sorted(expected.edges)
     for b, el in enumerate(expected.elements):
-        assert graph.elements[b] == el, b
-        assert (graph.weight(b), graph.elements[b].steps) == (el.weight, el.steps), b
+        row = graph.runs[b], graph.weight_of[b], graph.eps_of[b], graph.phi_of[b]
+        assert row == (el.runs, el.weight, el.eps, el.phi), b
+        assert (graph.weight(b), graph.orbit.steps(graph.runs[b])) == (el.weight, el.steps), b
         for i in graph.indices():
             assert (graph.f(b, i), graph.e(b, i)) == (expected.f(b, i), expected.e(b, i)), (b, i)
             assert (graph.eps(b, i), graph.phi(b, i)) == (expected.eps(b, i), expected.phi(b, i))
@@ -44,7 +46,7 @@ def test_columns_match_dict_graph(name, lam, graph_of):
 
 def _tampered_edges(graph):
     """The edge tampers of ``test_weak_order`` and ``test_demazure`` on A2 (1,1)."""
-    edges = dict(graph.edges)
+    edges = graph.edges
     swapped = dict(edges)
     swapped[0, 1], swapped[2, 1] = swapped[2, 1], swapped[0, 1]
     cut = dict(edges)
@@ -75,9 +77,9 @@ def _job(name, lam, inject=False):
 def test_tampered_graphs_match_dict_graph(tamper, graph_of, monkeypatch):
     graph = graph_of("A2", (1, 1))
     edges = _tampered_edges(graph)[tamper]
-    args = graph.datum, graph.highest_weight
-    columns = CrystalGraph(*args, graph.elements, edges, graph.denominator)
-    expected = ref.CrystalGraph(*args, list(graph.elements), edges, graph.denominator)
+    columns = tampered(graph, edges)
+    expected = ref.CrystalGraph(graph.datum, graph.highest_weight, ref.records(graph),
+                                edges, graph.denominator)
     _assert_same_graph(columns, expected)
     assert verify_normal(columns) == ref.verify_normal(expected)
     monkeypatch.setattr(cli, "generate_crystal", lambda *a, **k: columns)
@@ -100,12 +102,11 @@ def test_string_checks_raise_as_i_strings_does(tamper, graph_of):
     # the string rule reads strings off the columns, so it must not judge
     # i-edges that ``i_strings`` rejects as a partition
     graph = graph_of("A2", (1, 1))
-    tampered = CrystalGraph(graph.datum, graph.highest_weight, graph.elements,
-                            _tampered_edges(graph)[tamper], graph.denominator)
+    bad = tampered(graph, _tampered_edges(graph)[tamper])
     with pytest.raises(RuntimeError) as expected:
-        i_strings(tampered, 1)
-    for w in weyl_group(tampered.datum):
-        dc = demazure_crystal(tampered, w)
+        i_strings(bad, 1)
+    for w in weyl_group(bad.datum):
+        dc = demazure_crystal(bad, w)
         for check in (verify_string_property, verify_filtration_structure, verify_strings):
             with pytest.raises(RuntimeError) as raised:
                 check(dc, 1)

@@ -65,8 +65,9 @@ def test_crystal_matches_int_step_reference(name, lam, graph_of):
     assert graph.denominator == denom
     assert len(graph) == len(elements)
     assert graph.edges == edges
-    for b, (el, expected) in enumerate(zip(graph.elements, elements)):
-        assert (el.steps, el.weight, el.eps, el.phi) == expected, b
+    for b, expected in enumerate(elements):
+        row = graph.weight_of[b], graph.eps_of[b], graph.phi_of[b]
+        assert (graph.orbit.steps(graph.runs[b]), *row) == expected, b
 
 
 def test_denominator_is_lcm_of_coroot_pairings():

@@ -14,10 +14,10 @@ import logging
 import pytest
 
 import qcrystal.demazure as demazure_module
+from conftest import tampered
 from qcrystal import cli
 from qcrystal.character import (FormalCharacter, apply_demazure_word,
                                 demazure_characters)
-from qcrystal.crystal import CrystalGraph
 from qcrystal.demazure import (demazure_crystal, demazure_subsets, i_strings,
                                reduced_word_independence,
                                verify_filtration_structure,
@@ -30,18 +30,13 @@ ACCEPTANCE = [("A1", (4,)), ("A2", (1, 0)), ("A2", (1, 1)), ("A2", (2, 1)),
 SMALL_W = ACCEPTANCE + [("B3", (1, 0, 0)), ("C3", (0, 1, 0)), ("G2", (1, 1))]
 
 
-def _swapped(graph, a, b):
-    """A fresh graph whose edges a and b exchange their targets."""
-    edges = dict(graph.edges)
-    edges[a], edges[b] = edges[b], edges[a]
-    return CrystalGraph(graph.datum, graph.highest_weight, graph.elements,
-                        edges, graph.denominator)
-
-
 def _tampered_a2(graph_of):
     # the 1-strings 0 -> 1 and 2 -> 3 -> 5 become 0 -> 3 -> 5 and 2 -> 1:
     # still a partition into strings, but B_{w0} now depends on the word
-    return _swapped(graph_of("A2", (1, 1)), (0, 1), (2, 1))
+    graph = graph_of("A2", (1, 1))
+    edges = graph.edges
+    edges[0, 1], edges[2, 1] = edges[2, 1], edges[0, 1]
+    return tampered(graph, edges)
 
 
 def test_left_descents():
@@ -146,8 +141,8 @@ def test_verify_logs_no_sampling_warnings(caplog, capsys):
 
 
 def test_negative_control_descents_disagree(graph_of, monkeypatch, capsys):
-    tampered = _tampered_a2(graph_of)
-    monkeypatch.setattr(cli, "generate_crystal", lambda *args, **kwargs: tampered)
+    graph = _tampered_a2(graph_of)
+    monkeypatch.setattr(cli, "generate_crystal", lambda *args, **kwargs: graph)
     code = cli.main(["verify", "--type", "A2", "--weight", "1,1", "--format", "json"])
     assert code == cli.EXIT_VERIFY_FAILED
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
@@ -159,29 +154,24 @@ def test_negative_control_descents_disagree(graph_of, monkeypatch, capsys):
 def test_i_strings_rejects_tampered_edges(graph_of):
     graph = graph_of("A2", (1, 1))
     # 2 -> 3 -> 5 is a 1-string; cut it, or send 0 into its middle
-    cut = dict(graph.edges)
+    cut = graph.edges
     del cut[(3, 1)]
-    merged = dict(graph.edges)
-    merged[(0, 1)] = 3
+    merged = graph.edges | {(0, 1): 3}
     for edges in (cut, merged):
-        tampered = CrystalGraph(graph.datum, graph.highest_weight, graph.elements,
-                                edges, graph.denominator)
+        bad = tampered(graph, edges)
         with pytest.raises(RuntimeError, match="1-strings cover"):
-            i_strings(tampered, 1)
-        assert len(i_strings(tampered, 2)) == len(i_strings(graph, 2))
+            i_strings(bad, 1)
+        assert len(i_strings(bad, 2)) == len(i_strings(graph, 2))
 
 
 def test_i_strings_rejects_overlapping_strings(graph_of):
     # 0 -> 3 -> 5 shares 3 and 5 with 2 -> 3 -> 5; dropping 6 -> 1 keeps the
     # lengths adding up to 8, so only the overlap shows that 1 and 7 are lost
     graph = graph_of("A2", (1, 1))
-    edges = dict(graph.edges)
-    edges[(0, 1)] = 3
+    edges = graph.edges | {(0, 1): 3}
     del edges[(6, 1)]
-    tampered = CrystalGraph(graph.datum, graph.highest_weight, graph.elements,
-                            edges, graph.denominator)
     with pytest.raises(RuntimeError, match="element 3 lies in two 1-strings"):
-        i_strings(tampered, 1)
+        i_strings(tampered(graph, edges), 1)
 
 
 @pytest.mark.parametrize("name, lam, weight, phi", [
@@ -192,14 +182,11 @@ def test_string_checks_match_intersection_loops_on_a_lone_top(name, lam, weight,
     # l = eps_1 + phi_1, or l = 0.  On A1 (2) the subset {0, 2} also meets
     # the string 0 -> 1 -> 2 at a top that is not dominant and breaks it.
     graph = graph_of(name, lam)
-    elements = list(graph.elements)
-    elements[0] = dataclasses.replace(elements[0], weight=weight, phi=phi)
-    tampered = CrystalGraph(graph.datum, graph.highest_weight, elements,
-                            dict(graph.edges), graph.denominator)
+    lone_top = tampered(graph, weight={0: weight}, phi={0: phi})
     rules = set()
-    for w in weyl_group(tampered.datum):
-        for dc in _variants(demazure_crystal(tampered, w)):
-            for i in tampered.indices():
+    for w in weyl_group(lone_top.datum):
+        for dc in _variants(demazure_crystal(lone_top, w)):
+            for i in lone_top.indices():
                 expected = string_property(dc, i), filtration_structure(dc, i)
                 assert verify_strings(dc, i) == expected, (w, i)
                 layered, witness = expected[1]
