@@ -16,9 +16,10 @@ consequence of the underlying vanishing theory, not a proof of it.
 import itertools
 
 from .demazure import demazure_crystal
-from .root_data import (_check_rank, _coroots, dominant_representative,
-                        is_dominant, positive_roots, root_coords,
-                        root_weight_coords, simple_root, weyl_group, weyl_orbit)
+from .root_data import (_check_length, _check_rank, _coroots,
+                        dominant_representative, is_dominant, positive_roots,
+                        root_coords, root_weight_coords, simple_root,
+                        weyl_group, weyl_orbit)
 from .sparse import SparseMap
 
 
@@ -74,9 +75,11 @@ def demazure_operator(datum, i, chi):
     extended linearly.  This is (e^mu - e^(s_i mu - alpha_i)) / (1 - e^(-alpha_i))
     with the geometric series summed exactly.
     """
-    alpha = simple_root(datum, i)
+    alpha, rank = simple_root(datum, i), datum.rank
     out: dict[tuple[int, ...], int] = {}
     for mu, c in chi._terms.items():
+        if len(mu) != rank:  # one comparison per term; the check raises
+            _check_length(datum, mu)
         m = mu[i - 1]
         if m >= 0:
             for k in range(m + 1):

@@ -18,9 +18,11 @@ crystal stores a path as one flat int tuple of (orbit index, length)
 pairs (o_1, L_1, o_2, L_2, ...), run k being L_k / D times orbit point
 o_k.  Parallel runs share an orbit index, s_i is a table lookup and a
 split one divmod; a height minimum, split or endpoint off the grid raises
-PathKernelError.  The public LSPath keeps exact Fraction coordinates and
-is mapped onto the pairs of its own shape for each operator call, with
-the tables of a shape cached across calls.
+PathKernelError.  The orbit and its reflection and pairing tables come
+from ``root_data._Orbit``, the one orbit search, which the Weyl group is
+read off as well.  The public LSPath keeps exact Fraction coordinates
+and is mapped onto the pairs of its own shape for each operator call,
+with the tables of a shape cached across calls.
 
 A crystal is stored as columns indexed by element id rather than as one
 object per element: a list of path tuples, lists of weight, eps and phi
@@ -41,8 +43,8 @@ from itertools import chain, groupby
 from math import lcm
 
 from .character import weyl_dimension
-from .root_data import (_check_index, _check_rank, _coroots,
-                        dominant_representative, is_dominant, simple_root)
+from .root_data import (_check_index, _check_rank, _coroots, _Orbit,
+                        dominant_representative, is_dominant)
 
 DEFAULT_MAX_ELEMENTS = 200_000
 
@@ -108,42 +110,6 @@ def _denominator(datum, lam):
     """lcm of the nonzero <lam, beta^vee>, dot products with ``_coroots`` rows (1 if none)."""
     return lcm(*filter(None, (sum(x * c for x, c in zip(lam, coroot))
                               for coroot in _coroots(datum))))
-
-
-class _Orbit:
-    """The Weyl orbit of lambda, with the tables the pair kernel looks up.
-
-    Run k of a path (o_1, L_1, ...) is L_k * points[o_k], D times its true
-    displacement, with heights scaled to match.  ``points`` is the orbit
-    breadth-first from lambda under the simple reflections, ``index`` its
-    inverse; for i0 = i - 1, ``refl[i0][o]`` indexes s_i(points[o]),
-    ``pair[i0][o]`` = <points[o], h_i> and ``neg`` is ``pair`` negated.
-    """
-
-    __slots__ = ("points", "index", "refl", "pair", "neg")
-
-    def __init__(self, datum, lam):
-        points = [tuple(lam)]
-        index = {points[0]: 0}
-        alphas = [simple_root(datum, i) for i in datum.indices()]
-        refl = [[] for _ in alphas]
-        for mu in points:  # points grows behind the loop: breadth-first
-            for row, alpha, c in zip(refl, alphas, mu):
-                image = tuple(x - c * a for x, a in zip(mu, alpha))
-                if image not in index:
-                    index[image] = len(points)
-                    points.append(image)
-                row.append(index[image])
-        self.points, self.index, self.refl = points, index, refl
-        self.pair = [list(col) for col in zip(*points)]
-        self.neg = [[-x for x in row] for row in self.pair]
-
-    def run(self, o, length):
-        return tuple(length * x for x in self.points[o])
-
-    def steps(self, path):
-        """The runs of a path decoded to scaled int steps, L * points[o] each."""
-        return tuple(map(self.run, path[::2], path[1::2]))
 
 
 def _run_heights(pair, denom, path):

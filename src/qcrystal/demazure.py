@@ -152,6 +152,7 @@ def extremal_weights(datum, lam, word):
     ladder = [(lam, None)]
     current = lam
     for i in reversed(tuple(word)):
+        _check_index(datum, i)
         m = current[i - 1]
         if m < 0:
             raise ValueError(

@@ -6,6 +6,12 @@ coordinates.  Weights are plain tuples of ints in those coordinates; simple
 reflections, reduced words, dominance order, positive roots and their
 coroots are all computed with exact integer or rational arithmetic.
 
+The Weyl group W is read off the orbit of rho: rho is regular, so W acts
+simply transitively on it, and its breadth-first search under the simple
+reflections lists W in order of length with left multiplication as the
+reflection table.  ``_Orbit`` is that search, the one in the package; the
+path kernel of ``crystal`` and ``weyl_orbit`` read it too.
+
 Supported types: A1..A4, B2, B3, C3, D4, G2, each written out with its
 symmetrizers in the one literal table ``_TYPES``; ``CartanDatum`` checks
 every entry when it is first looked up.  G2 is oriented so that
@@ -18,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-Weight = tuple[int, ...]
 WeylWord = tuple[int, ...]
 
 # name -> (Cartan matrix rows, symmetrizers d with d_i a_ij = d_j a_ji)
@@ -117,6 +122,7 @@ def simple_root(datum, i):
 def reflect(datum, i, mu):
     """Simple reflection s_i(mu) = mu - <h_i, mu> alpha_i."""
     _check_index(datum, i)
+    _check_length(datum, mu)
     c = mu[i - 1]
     if c == 0:
         return tuple(mu)
@@ -140,10 +146,15 @@ def is_dominant(mu):
     return all(c >= 0 for c in mu)
 
 
+def _check_length(datum, mu):
+    """A weight has rank-many coordinates (ints, or Fractions on a path grid)."""
+    if len(mu) != datum.rank:
+        raise ValueError(f"weight length {len(mu)} does not match rank {datum.rank}")
+
+
 def _check_rank(datum, lam):
     """A weight is a tuple of rank-many ints (anything with ``__index__``)."""
-    if len(lam) != datum.rank:
-        raise ValueError(f"weight length {len(lam)} does not match rank {datum.rank}")
+    _check_length(datum, lam)
     for k, x in enumerate(lam, 1):
         try:
             operator.index(x)
@@ -151,49 +162,87 @@ def _check_rank(datum, lam):
             raise TypeError(f"weight coordinate {k} is {x!r}, not an int") from None
 
 
-@lru_cache(maxsize=None)
-def _element_table(datum):
-    """Map w(rho) -> lexicographically smallest reduced word for w.
+class _Orbit:
+    """The Weyl orbit of lambda, with the tables the pair kernel looks up.
 
-    rho is regular, so w -> w(rho) is injective and serves as the identity
-    key of a Weyl-group element.  Built breadth-first by length; a new
-    element's canonical word is the minimum of (i,) + canonical(s_i w) over
-    its left descents, which the level order makes available in time.
+    The one orbit search of the package: ``_weyl`` and ``weyl_orbit`` read
+    it as well.  Run k of a path (o_1, L_1, ...) is L_k * points[o_k], D
+    times its true displacement, with heights scaled to match.  ``points``
+    is the orbit breadth-first from lambda under the simple reflections,
+    ``index`` its inverse; for i0 = i - 1, ``refl[i0][o]`` indexes
+    s_i(points[o]), ``pair[i0][o]`` = <points[o], h_i> and ``neg`` is
+    ``pair`` negated.
     """
-    table = {rho(datum): ()}
-    level = {rho(datum): ()}
-    while level:
-        nxt: dict[Weight, WeylWord] = {}
-        for key, word in level.items():
-            for i in datum.indices():
-                new_key = reflect(datum, i, key)
-                if new_key in table:
-                    continue
-                cand = (i,) + word
-                if new_key not in nxt or cand < nxt[new_key]:
-                    nxt[new_key] = cand
-        table.update(nxt)
-        level = nxt
-    return table
+
+    __slots__ = ("points", "index", "refl", "pair", "neg")
+
+    def __init__(self, datum, lam):
+        points = [tuple(lam)]
+        index = {points[0]: 0}
+        alphas = [simple_root(datum, i) for i in datum.indices()]
+        refl = [[] for _ in alphas]
+        for mu in points:  # points grows behind the loop: breadth-first
+            for row, alpha, c in zip(refl, alphas, mu):
+                image = tuple(x - c * a for x, a in zip(mu, alpha))
+                if image not in index:
+                    index[image] = len(points)
+                    points.append(image)
+                row.append(index[image])
+        self.points, self.index, self.refl = points, index, refl
+        self.pair = [list(col) for col in zip(*points)]
+        self.neg = [[-x for x in row] for row in self.pair]
+
+    def run(self, o, length):
+        return tuple(length * x for x in self.points[o])
+
+    def steps(self, path):
+        """The runs of a path decoded to scaled int steps, L * points[o] each."""
+        return tuple(map(self.run, path[::2], path[1::2]))
+
+
+@lru_cache(maxsize=None)
+def _weyl(datum):
+    """(orbit of rho, canonical word by orbit index, ``weyl_group`` tuple).
+
+    w -> w(rho) is a bijection from W onto the orbit, ``refl`` is left
+    multiplication by s_i, and breadth-first order is length order.  So
+    refl[i - 1][o] < o exactly when i is a left descent of w, and the
+    canonical word of w is the least (i,) + words[refl[i - 1][o]] over them.
+    """
+    orbit = _Orbit(datum, rho(datum))
+    words = [()]
+    for o in range(1, len(orbit.points)):
+        words.append(min((i,) + words[row[o]]
+                         for i, row in enumerate(orbit.refl, 1) if row[o] < o))
+    return orbit, words, tuple(sorted(words, key=lambda w: (len(w), w)))
+
+
+def _element(datum, word):
+    """Orbit index of w(rho) for the element w of ``word``, last letter first."""
+    refl, o = _weyl(datum)[0].refl, 0
+    for i in reversed(word):
+        _check_index(datum, i)
+        o = refl[i - 1][o]
+    return o
 
 
 def element_key(datum, word):
     """w(rho), a faithful fingerprint of the group element of ``word``."""
-    return apply_word(datum, word, rho(datum))
+    return _weyl(datum)[0].points[_element(datum, word)]
 
 
 def canonical_word(datum, word):
     """Lexicographically smallest reduced word for the element of ``word``."""
-    return _element_table(datum)[element_key(datum, word)]
+    return _weyl(datum)[1][_element(datum, word)]
 
 
 def weyl_group(datum):
     """All Weyl-group elements as canonical reduced words, sorted by length."""
-    return tuple(sorted(_element_table(datum).values(), key=lambda w: (len(w), w)))
+    return _weyl(datum)[2]
 
 
 def weyl_order(datum):
-    return len(_element_table(datum))
+    return len(weyl_group(datum))
 
 
 def is_reduced(datum, word):
@@ -203,7 +252,7 @@ def is_reduced(datum, word):
 
 def longest_word(datum):
     """Canonical reduced word of the longest element w_0."""
-    return max(_element_table(datum).values(), key=lambda w: (len(w), w))
+    return weyl_group(datum)[-1]
 
 
 def left_descents(datum, word):
@@ -211,15 +260,9 @@ def left_descents(datum, word):
 
     A left descent of w is an index i with length(s_i w) < length(w).
     """
-    table = _element_table(datum)
-    key = element_key(datum, word)
-    n = len(table[key])
-    out = {}
-    for i in datum.indices():
-        down = table[reflect(datum, i, key)]
-        if len(down) < n:
-            out[i] = down
-    return out
+    orbit, words, _ = _weyl(datum)
+    o = _element(datum, word)
+    return {i: words[row[o]] for i, row in enumerate(orbit.refl, 1) if row[o] < o}
 
 
 def all_reduced_words(datum, word):
@@ -243,6 +286,7 @@ def all_reduced_words(datum, word):
 
 def _solve_root_coords(datum, mu):
     """Exact rational solution c of  sum_i c_i alpha_i = mu."""
+    _check_length(datum, mu)
     n = datum.rank
     m = [[Fraction(datum.cartan[r][c]) for c in range(n)] + [Fraction(mu[r])]
          for r in range(n)]
@@ -266,6 +310,8 @@ def root_coords(datum, mu):
 
 def dominance_leq(datum, mu, lam):
     """Dominance order: lam - mu a nonnegative integer sum of simple roots."""
+    _check_length(datum, mu)
+    _check_length(datum, lam)
     diff = tuple(a - b for a, b in zip(lam, mu))
     coords = _solve_root_coords(datum, diff)
     return all(c.denominator == 1 and c >= 0 for c in coords)
@@ -321,21 +367,14 @@ def root_weight_coords(datum, root):
 
 def weyl_orbit(datum, mu):
     """The Weyl orbit of a weight, as a set of weight tuples."""
-    orbit = {tuple(mu)}
-    frontier = [tuple(mu)]
-    while frontier:
-        nu = frontier.pop()
-        for i in datum.indices():
-            image = reflect(datum, i, nu)
-            if image not in orbit:
-                orbit.add(image)
-                frontier.append(image)
-    return orbit
+    _check_length(datum, mu)
+    return set(_Orbit(datum, mu).points)
 
 
 def dominant_representative(datum, mu):
     """The unique dominant weight in the Weyl orbit of mu."""
     mu = tuple(mu)
+    _check_length(datum, mu)
     while True:
         i = next((j for j, c in enumerate(mu) if c < 0), None)
         if i is None:
