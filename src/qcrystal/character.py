@@ -16,10 +16,10 @@ consequence of the underlying vanishing theory, not a proof of it.
 import itertools
 
 from .demazure import demazure_crystal
-from .root_data import (_check_length, _check_rank, _coroots,
-                        dominant_representative, is_dominant, positive_roots,
-                        root_coords, root_weight_coords, simple_root,
-                        weyl_group, weyl_orbit)
+from .root_data import (_check_length, _check_rank, _coroots, _coset_words,
+                        _element, _Orbit, dominant_representative, is_dominant,
+                        positive_roots, root_coords, root_weight_coords,
+                        simple_root, weyl_group, weyl_orbit)
 from .sparse import SparseMap
 
 
@@ -101,32 +101,32 @@ def apply_demazure_word(datum, word, chi):
     return chi
 
 
-def _character_levels(datum, lam):
-    """Yield (w, D_w(e^lambda)) for every w in ``weyl_group`` order.
+def _character_levels(datum, orbit):
+    """Yield (o, w, D_w(e^lambda)) for each point o of ``orbit``, W.lambda.
 
-    The first letter i of a canonical word w is a left descent and w[1:] is
-    the canonical word of s_i w, so D_w(e^lambda) = D_i(D_{s_i w}(e^lambda))
-    equals ``apply_demazure_word(datum, w, e^lambda)``.  Only the
-    characters of w's length and the length below are held.
+    Points come in the order of ``root_data._coset_words``.  The first
+    letter i of w is a left descent and w[1:] is the word of the point
+    refl[i - 1][o], so D_w(e^lambda) = D_i(D_{w[1:]}(e^lambda)) equals
+    ``apply_demazure_word(datum, w, e^lambda)``.  Only the characters of
+    w's length and the length below are held.
     """
-    group = weyl_group(datum)
-    below, level, length = {}, {(): FormalCharacter.monomial(lam)}, 0
-    yield (), level[()]
-    for w in group[1:]:
+    words, order = _coset_words(orbit)
+    below, level, length = {}, {0: FormalCharacter.monomial(orbit.points[0])}, 0
+    yield 0, (), level[0]
+    for o in order[1:]:
+        w = words[o]
         if len(w) > length:
             below, level, length = level, {}, len(w)
-        level[w] = demazure_operator(datum, w[0], below[w[1:]])
-        yield w, level[w]
+        level[o] = demazure_operator(datum, w[0], below[orbit.refl[w[0] - 1][o]])
+        yield o, w, level[o]
 
 
 def demazure_characters(datum, lam):
-    """D_w(e^lambda) for every w, memoized along the weak order.
-
-    Keys are canonical words in ``weyl_group`` order; the values come from
-    ``_character_levels``.
-    """
+    """D_w(e^lambda) for every w in ``weyl_group`` order, that of the point w(lambda)."""
     _check_rank(datum, lam)
-    return dict(_character_levels(datum, lam))
+    orbit = _Orbit(datum, lam)
+    points = {o: chi for o, _, chi in _character_levels(datum, orbit)}
+    return {w: points[_element(datum, w, orbit.refl)] for w in weyl_group(datum)}
 
 
 def verify_demazure_character(graph, lam, word):

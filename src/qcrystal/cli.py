@@ -284,12 +284,14 @@ def _phase(name, start, detail=""):
 def run_verify(job):
     """Run the whole combinatorial suite; returns (report rows, ok).
 
-    Every Demazure subset and every Demazure character comes from one
-    walk over the weak order that keeps two length levels alive
-    (``demazure._subset_levels``, ``character._character_levels``).  Each
-    B_w is checked as it is built, and each row keeps its first failure
-    in ``weyl_group`` order.  ``--inject-failure`` corrupts B_{w0} for the
-    string and filtration checks only.
+    Every Demazure subset and character comes from one walk over the
+    orbit W.lambda that keeps two length levels alive (``demazure``'s and
+    ``character``'s ``_levels``).  Each B_w is checked as it is built, and
+    each row keeps its first failure in (length, word) order of the points.
+    B_w must also be f_tilde_j closed where s_j fixes w(lambda), standing in
+    for the left descents of the longer words with that point.
+    ``--inject-failure`` corrupts B_{w0} at the last point, named by w0's
+    word, for the string and filtration checks only.
     """
     datum = cartan_datum(job.type_name)
     indices = datum.indices()
@@ -302,15 +304,15 @@ def run_verify(job):
 
     for i in indices:
         demazure.i_strings(graph, i)  # raises unless the i-edges partition the crystal
-    top_word = longest_word(datum)
+    last = len(graph.orbit.points) - 1  # w0(lambda), the lowest weight
     strings = filtration = independence = characters = None
     peak = 0
-    walk = zip(demazure._subset_levels(graph), _character_levels(datum, job.weight))
-    for (w, members, disagreement, live), (_, chi) in walk:
+    walk = zip(demazure._subset_levels(graph), _character_levels(datum, graph.orbit))
+    for (o, w, members, disagreement, live), (*_, chi) in walk:
         peak = max(peak, live)
         dc = DemazureCrystal(graph, w, members)
-        if job.inject_failure and w == top_word:
-            dc = _corrupt(dc)
+        if job.inject_failure and o == last:
+            w, dc = longest_word(datum), _corrupt(dc)
             log.info("injected a corrupted subset for %s", w)
         for i in indices:
             (good, wit), (layered, layer_wit) = demazure._string_rule(graph, dc.members, i)

@@ -12,18 +12,19 @@ lambda = (1, 1):
 so (1, 2) first saturates letter 2, then letter 1.
 
 ``demazure_crystal`` follows one word.  Every B_w(lambda) comes from one
-walk over the weak order, by increasing length: B_w is the f_tilde_i
-closure of B_{s_i w} for a left descent i, and it is computed for every
-left descent of w.  Two descents that disagree are reported.  When none
-do, by induction on length every reduced word of every w cuts the same
-subset, so reduced-word independence is checked exactly, for every type,
-without enumerating reduced words.
+walk over the orbit W.lambda, of at most |B(lambda)| points: B_w
+depends only on w(lambda), and B_w is the f_tilde_i closure of B_{s_i w}
+for a left descent i, computed for every left descent of the shortest w
+reaching each point.  B_w must also be f_tilde_j closed where s_j fixes
+w(lambda), which stands in for the descents of longer words with that
+point.  Disagreements are reported; when none occur, by induction on
+length every reduced word of every w cuts the same subset, so reduced-word
+independence is checked exactly, for every type, without enumerating them.
 
-Each s_i w is one length shorter than w, so the walk keeps only two
-length levels of subsets alive: the level being built and the one below
-it.  It yields each B_w as it is built, in ``weyl_group`` order, and a
-caller such as ``verify`` checks it and lets it go; ``demazure_subsets``
-collects the whole walk into a dict.
+Each s_i w is one length shorter than w, so the walk keeps only two length
+levels of subsets alive.  It yields each B_w as it is built, in (length,
+word) order of the points, and a caller such as ``verify`` checks it and
+lets it go; ``demazure_subsets`` maps every w in W to its point's subset.
 
 An i-string is stored once, in the graph's i-th child and parent
 columns; ``i_strings`` lists the strings and checks that the i-edges
@@ -35,9 +36,9 @@ saturation and string walks read the child columns directly.
 from array import array
 from dataclasses import dataclass
 
-from .root_data import (_check_index, _check_rank, all_reduced_words,
-                        canonical_word, is_reduced, left_descents, reflect,
-                        weyl_group)
+from .root_data import (_check_index, _check_rank, _coset_words, _element,
+                        all_reduced_words, canonical_word, is_reduced,
+                        left_descents, reflect, weyl_group)
 
 
 @dataclass(frozen=True)
@@ -89,53 +90,57 @@ def demazure_crystal(graph, word):
 
 
 def _subset_levels(graph):
-    """Yield (w, members, disagreement, live) for every w, in ``weyl_group`` order.
+    """Yield (o, w, members, disagreement, live) for each point o of W.lambda.
 
-    ``members`` is B_w(lambda), the f_tilde_i closure of B_{s_i w} for the
-    first letter i of w.  The closure is also taken for every other left
-    descent j of w; ``disagreement`` is None when all of them agree, else
-    ``("left descents disagree", i, j, b)`` for the first j that does not,
-    with b the smallest element id in one set but not the other.  Only
-    the subsets of w's length and the length below are held, as int
-    arrays; ``live`` is their member count once B_w is added.
+    Points come in the order of ``root_data._coset_words``, w the shortest
+    word with w(lambda) = points[o].  ``members`` is B_w(lambda), the
+    f_tilde_i closure of B(refl[i - 1][o]) for the first letter i of w.
+    It is compared with the closure for every other left descent j, and
+    with its own f_tilde_j closure for every j that fixes the point.
+    ``disagreement`` is None when all agree, else for the first j that
+    does not it is ``("left descents disagree", i, j, b)``, b the smallest
+    element id in one set but not the other.  Only two length levels are
+    held, as int arrays; ``live`` is their member count.
     """
-    datum = graph.datum
-    below, level, length = {}, {(): array("i", [0])}, 0
-    live = 1
-    yield (), frozenset({0}), None, live
-    for w in weyl_group(datum)[1:]:
+    refl = graph.orbit.refl
+    words, order = _coset_words(graph.orbit)
+    below, level, length, live = {}, {0: array("i", [0])}, 0, 1
+    yield 0, (), frozenset({0}), None, live
+    for o in order[1:]:
+        w = words[o]
         if len(w) > length:
             live -= sum(map(len, below.values()))
             below, level, length = level, {}, len(w)
-        descents = iter(left_descents(datum, w).items())
-        i, v = next(descents)  # w[0], the smallest left descent
-        first = frozenset(_saturate(graph, below[v], i))
-        level[w] = array("i", first)
+        i = w[0]  # the smallest left descent
+        first = frozenset(_saturate(graph, below[refl[i - 1][o]], i))
+        level[o] = array("i", first)
         live += len(first)
         disagreement = None
-        for j, v in descents:
-            other = _saturate(graph, below[v], j)
-            if disagreement is None and other != first:
-                disagreement = ("left descents disagree", i, j, min(first ^ other))
-        yield w, first, disagreement, live
+        for j, row in enumerate(refl, 1):
+            if j != i and row[o] <= o:  # another left descent, or s_j fixes the point
+                other = _saturate(graph, below[row[o]] if row[o] < o else first, j)
+                if disagreement is None and other != first:
+                    disagreement = ("left descents disagree", i, j, min(first ^ other))
+        yield o, w, first, disagreement, live
 
 
 def demazure_subsets(graph):
-    """Every B_w(lambda) in one pass over the weak order, by increasing length.
+    """Every B_w(lambda) from one pass over the orbit W.lambda.
 
     Returns (subsets, witness).  ``subsets`` maps each canonical word w (in
-    ``weyl_group`` order) to its DemazureCrystal, which is the subset
-    ``demazure_crystal(graph, w)`` cuts.  ``witness`` is None when every
-    left descent of every w gives the same subset, else
-    ``(w, ("left descents disagree", i, j, b))`` for the first w where
-    two do not (see ``_subset_levels``).
+    ``weyl_group`` order) to the DemazureCrystal of its point w(lambda),
+    the subset ``demazure_crystal(graph, w)`` cuts.  ``witness`` is None
+    when the walk's comparisons all agree, else the first point's
+    ``(w, ("left descents disagree", i, j, b))`` (see ``_subset_levels``).
     """
-    subsets, witness = {}, None
-    for w, members, disagreement, _ in _subset_levels(graph):
-        subsets[w] = DemazureCrystal(graph, w, members)
+    points, witness = {}, None
+    for o, w, members, disagreement, _ in _subset_levels(graph):
+        points[o] = members
         if witness is None and disagreement is not None:
             witness = (w, disagreement)
-    return subsets, witness
+    refl = graph.orbit.refl
+    return {w: DemazureCrystal(graph, w, points[_element(graph.datum, w, refl)])
+            for w in weyl_group(graph.datum)}, witness
 
 
 def extremal_weights(datum, lam, word):

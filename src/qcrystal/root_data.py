@@ -10,7 +10,7 @@ The Weyl group W is read off the orbit of rho: rho is regular, so W acts
 simply transitively on it, and its breadth-first search under the simple
 reflections lists W in order of length with left multiplication as the
 reflection table.  ``_Orbit`` is that search, the one in the package; the
-path kernel of ``crystal`` and ``weyl_orbit`` read it too.
+path kernel, the Demazure walk over W.lambda and ``weyl_orbit`` read it too.
 
 Supported types: A1..A4, B2, B3, C3, D4, G2, each written out with its
 symmetrizers in the one literal table ``_TYPES``; ``CartanDatum`` checks
@@ -132,6 +132,7 @@ def reflect(datum, i, mu):
 
 def apply_word(datum, word, mu):
     """Act by s_{i_1} ... s_{i_k} on mu, rightmost letter first."""
+    _check_length(datum, mu)
     for i in reversed(word):
         mu = reflect(datum, i, mu)
     return mu
@@ -200,26 +201,32 @@ class _Orbit:
         return tuple(map(self.run, path[::2], path[1::2]))
 
 
-@lru_cache(maxsize=None)
-def _weyl(datum):
-    """(orbit of rho, canonical word by orbit index, ``weyl_group`` tuple).
+def _coset_words(orbit):
+    """(canonical word by point index, point indices in (length, word) order).
 
-    w -> w(rho) is a bijection from W onto the orbit, ``refl`` is left
-    multiplication by s_i, and breadth-first order is length order.  So
-    refl[i - 1][o] < o exactly when i is a left descent of w, and the
-    canonical word of w is the least (i,) + words[refl[i - 1][o]] over them.
+    Breadth-first order is length order of the shortest w with w(lambda) =
+    points[o], and ``refl`` is left multiplication, so refl[i - 1][o] < o
+    exactly when i is a left descent of w; the canonical word of w is the
+    least (i,) + words[refl[i - 1][o]] over them.
     """
-    orbit = _Orbit(datum, rho(datum))
     words = [()]
     for o in range(1, len(orbit.points)):
         words.append(min((i,) + words[row[o]]
                          for i, row in enumerate(orbit.refl, 1) if row[o] < o))
-    return orbit, words, tuple(sorted(words, key=lambda w: (len(w), w)))
+    return words, sorted(range(len(words)), key=lambda o: (len(words[o]), words[o]))
 
 
-def _element(datum, word):
-    """Orbit index of w(rho) for the element w of ``word``, last letter first."""
-    refl, o = _weyl(datum)[0].refl, 0
+@lru_cache(maxsize=None)
+def _weyl(datum):
+    """(orbit of rho, canonical word by orbit index, ``weyl_group`` tuple); rho is regular."""
+    orbit = _Orbit(datum, rho(datum))
+    words, order = _coset_words(orbit)
+    return orbit, words, tuple(words[o] for o in order)
+
+
+def _element(datum, word, refl=None):
+    """Orbit index of w(rho), or w(lambda) over lambda's ``refl`` table, last letter first."""
+    refl, o = refl or _weyl(datum)[0].refl, 0
     for i in reversed(word):
         _check_index(datum, i)
         o = refl[i - 1][o]
@@ -361,6 +368,7 @@ def _coroots(datum):
 
 def root_weight_coords(datum, root):
     """Convert simple-root coefficients to fundamental-weight coordinates."""
+    _check_length(datum, root)
     n = datum.rank
     return tuple(sum(datum.cartan[j][i] * root[i] for i in range(n)) for j in range(n))
 
