@@ -101,16 +101,15 @@ def apply_demazure_word(datum, word, chi):
     return chi
 
 
-def _character_levels(datum, orbit):
+def _character_levels(datum, orbit, words, order):
     """Yield (o, w, D_w(e^lambda)) for each point o of ``orbit``, W.lambda.
 
-    Points come in the order of ``root_data._coset_words``.  The first
+    ``words, order`` are ``root_data._coset_words(orbit)``.  The first
     letter i of w is a left descent and w[1:] is the word of the point
     refl[i - 1][o], so D_w(e^lambda) = D_i(D_{w[1:]}(e^lambda)) equals
     ``apply_demazure_word(datum, w, e^lambda)``.  Only the characters of
     w's length and the length below are held.
     """
-    words, order = _coset_words(orbit)
     below, level, length = {}, {0: FormalCharacter.monomial(orbit.points[0])}, 0
     yield 0, (), level[0]
     for o in order[1:]:
@@ -122,10 +121,12 @@ def _character_levels(datum, orbit):
 
 
 def demazure_characters(datum, lam):
-    """D_w(e^lambda) for every w in ``weyl_group`` order, that of the point w(lambda)."""
+    """D_w(e^lambda) for every w in ``weyl_group`` order, read at w(lambda); lambda dominant."""
     _check_rank(datum, lam)
+    if not is_dominant(lam):
+        raise ValueError(f"Demazure characters need a dominant weight, got {tuple(lam)}")
     orbit = _Orbit(datum, lam)
-    points = {o: chi for o, _, chi in _character_levels(datum, orbit)}
+    points = {o: chi for o, _, chi in _character_levels(datum, orbit, *_coset_words(orbit))}
     return {w: points[_element(datum, w, orbit.refl)] for w in weyl_group(datum)}
 
 

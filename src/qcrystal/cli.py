@@ -29,7 +29,7 @@ from .crystal import (DEFAULT_MAX_ELEMENTS, PathKernelError, ResourceCapError,
 from . import demazure
 from .demazure import DemazureCrystal, demazure_crystal
 from .rank_one import RankOneModule, act_e, act_f, verify_sl2_relation
-from .root_data import cartan_datum, longest_word, weyl_order
+from .root_data import _coset_words, cartan_datum, longest_word, weyl_order
 
 log = logging.getLogger("qcrystal")
 
@@ -284,14 +284,13 @@ def _phase(name, start, detail=""):
 def run_verify(job):
     """Run the whole combinatorial suite; returns (report rows, ok).
 
-    Every Demazure subset and character comes from one walk over the
-    orbit W.lambda that keeps two length levels alive (``demazure``'s and
-    ``character``'s ``_levels``).  Each B_w is checked as it is built, and
-    each row keeps its first failure in (length, word) order of the points.
-    B_w must also be f_tilde_j closed where s_j fixes w(lambda), standing in
-    for the left descents of the longer words with that point.
-    ``--inject-failure`` corrupts B_{w0} at the last point, named by w0's
-    word, for the string and filtration checks only.
+    One walk over the orbit W.lambda, two length levels alive, yields every
+    Demazure subset and character (``demazure``'s and ``character``'s
+    ``_levels``); each B_w is checked as it is built, and each row keeps its
+    first failure in (length, word) order of the points.  B_w must also be
+    f_tilde_j closed where s_j fixes w(lambda), for the left descents of the
+    longer words with that point.  ``--inject-failure`` corrupts B_{w0} at
+    the last point, named by w0's word, for the string and filtration checks.
     """
     datum = cartan_datum(job.type_name)
     indices = datum.indices()
@@ -304,14 +303,15 @@ def run_verify(job):
 
     for i in indices:
         demazure.i_strings(graph, i)  # raises unless the i-edges partition the crystal
-    last = len(graph.orbit.points) - 1  # w0(lambda), the lowest weight
+    words, order = _coset_words(graph.orbit)  # order[-1] is w0(lambda)
     strings = filtration = independence = characters = None
     peak = 0
-    walk = zip(demazure._subset_levels(graph), _character_levels(datum, graph.orbit))
+    walk = zip(demazure._subset_levels(graph, words, order),
+               _character_levels(datum, graph.orbit, words, order))
     for (o, w, members, disagreement, live), (*_, chi) in walk:
         peak = max(peak, live)
         dc = DemazureCrystal(graph, w, members)
-        if job.inject_failure and o == last:
+        if job.inject_failure and o == order[-1]:
             w, dc = longest_word(datum), _corrupt(dc)
             log.info("injected a corrupted subset for %s", w)
         for i in indices:

@@ -89,11 +89,11 @@ def demazure_crystal(graph, word):
     return DemazureCrystal(graph, word, frozenset(members))
 
 
-def _subset_levels(graph):
+def _subset_levels(graph, words, order):
     """Yield (o, w, members, disagreement, live) for each point o of W.lambda.
 
-    Points come in the order of ``root_data._coset_words``, w the shortest
-    word with w(lambda) = points[o].  ``members`` is B_w(lambda), the
+    ``words, order`` are ``root_data._coset_words(graph.orbit)``, w the
+    shortest word with w(lambda) = points[o].  ``members`` is B_w(lambda), the
     f_tilde_i closure of B(refl[i - 1][o]) for the first letter i of w.
     It is compared with the closure for every other left descent j, and
     with its own f_tilde_j closure for every j that fixes the point.
@@ -103,7 +103,6 @@ def _subset_levels(graph):
     held, as int arrays; ``live`` is their member count.
     """
     refl = graph.orbit.refl
-    words, order = _coset_words(graph.orbit)
     below, level, length, live = {}, {0: array("i", [0])}, 0, 1
     yield 0, (), frozenset({0}), None, live
     for o in order[1:]:
@@ -134,12 +133,11 @@ def demazure_subsets(graph):
     ``(w, ("left descents disagree", i, j, b))`` (see ``_subset_levels``).
     """
     points, witness = {}, None
-    for o, w, members, disagreement, _ in _subset_levels(graph):
+    for o, w, members, disagreement, _ in _subset_levels(graph, *_coset_words(graph.orbit)):
         points[o] = members
         if witness is None and disagreement is not None:
             witness = (w, disagreement)
-    refl = graph.orbit.refl
-    return {w: DemazureCrystal(graph, w, points[_element(graph.datum, w, refl)])
+    return {w: DemazureCrystal(graph, w, points[_element(graph.datum, w, graph.orbit.refl)])
             for w in weyl_group(graph.datum)}, witness
 
 

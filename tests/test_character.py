@@ -180,6 +180,17 @@ def test_demazure_entry_points_reject_wrong_length():
                 fn(lam)
 
 
+def test_demazure_characters_refuse_a_non_dominant_weight():
+    # the walk keys each w by its point w(lambda), which needs W_lambda to be
+    # a standard parabolic fixing e^lambda; at (1, -1) s1 s2 s1 fixes lambda,
+    # yet D1 D2 D1 e^lambda = 0
+    assert apply_demazure_word(A2, (1, 2, 1), FormalCharacter.monomial((1, -1))) == \
+        FormalCharacter()
+    for lam in ((1, -1), (-1, 0), (-2, -3)):
+        with pytest.raises(ValueError, match="dominant weight"):
+            demazure_characters(A2, lam)
+
+
 def test_character_total_equals_dimension():
     for name, lam in [("A2", (2, 1)), ("B2", (1, 1)), ("B3", (1, 0, 0)),
                       ("C3", (0, 0, 1)), ("D4", (0, 1, 0, 0)), ("G2", (0, 1))]:

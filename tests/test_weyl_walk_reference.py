@@ -20,8 +20,8 @@ from conftest import tampered
 from qcrystal import character, cli, demazure
 from qcrystal.character import _character_levels, demazure_characters
 from qcrystal.demazure import _subset_levels, demazure_subsets
-from qcrystal.root_data import (_element, cartan_datum, rho, supported_types,
-                                weyl_group)
+from qcrystal.root_data import (_coset_words, _element, cartan_datum, rho,
+                                supported_types, weyl_group)
 from test_dict_graph_reference import _outcome
 
 
@@ -56,7 +56,9 @@ def _same_graph(monkeypatch, graph):
 def test_each_word_gets_the_subset_and_character_of_its_point(name, lam, graph_of):
     graph = graph_of(name, lam)
     datum, orbit = graph.datum, graph.orbit
-    walk, char_walk = list(_subset_levels(graph)), list(_character_levels(datum, orbit))
+    coset = _coset_words(orbit)
+    walk = list(_subset_levels(graph, *coset))
+    char_walk = list(_character_levels(datum, orbit, *coset))
     assert [o for o, *_ in walk] == [o for o, _, _ in char_walk]
     assert sorted(o for o, *_ in walk) == list(range(len(orbit.points)))
     assert all(disagreement is None for *_, disagreement, _ in walk)
@@ -82,8 +84,9 @@ def test_walk_visits_the_orbit_not_the_group(graph_of, monkeypatch):
     for module, name in [(demazure, "weyl_group"), (demazure, "left_descents"),
                          (character, "weyl_group")]:
         monkeypatch.setattr(module, name, None)  # the walks must not call them
-    assert len(list(_subset_levels(graph))) == len(graph.orbit.points) == 24
-    assert len(list(_character_levels(graph.datum, graph.orbit))) == 24
+    coset = _coset_words(graph.orbit)
+    assert len(list(_subset_levels(graph, *coset))) == len(graph.orbit.points) == 24
+    assert len(list(_character_levels(graph.datum, graph.orbit, *coset))) == 24
 
 
 @pytest.mark.parametrize("inject", [False, True])
