@@ -237,20 +237,29 @@ def emit_character(datum, lam, word, chi, fmt):
     return (chi.render() + "\n").encode()
 
 
+def _action_line(name, k, n, target, text):
+    """``name . f^(k)v = [n] f^(target)v = (text) f^(target)v``, or ``= 0`` when text is None."""
+    desc = "0" if text is None else f"[{n}] f^({target})v = ({text}) f^({target})v"
+    return f"  {name} . f^({k})v = {desc}"
+
+
 def emit_rank_one(lam):
     m = RankOneModule(lam)
     lines = [f"rank-one module V({lam}) over Z[q,q^-1], basis f^(k)v, k = 0..{lam}"]
-    lines.append("f action:")
+    f_lines, e_lines = [], []
     for k in range(m.dim):
-        image = act_f(m, m.basis_vector(k))
-        desc = f"[{k + 1}] f^({k + 1})v = ({image[k + 1]}) f^({k + 1})v" if image else "0"
-        lines.append(f"  f . f^({k})v = {desc}")
-    lines.append("e action:")
-    for k in range(m.dim):
-        image = act_e(m, m.basis_vector(k))
-        co = m.lam - k + 1
-        desc = f"[{co}] f^({k - 1})v = ({image[k - 1]}) f^({k - 1})v" if image else "0"
-        lines.append(f"  e . f^({k})v = {desc}")
+        # f . f^(k)v and e . f^(j)v, j = lam - k, both carry [k+1]: when the
+        # two images agree, their coefficient is rendered once for both lines.
+        j = lam - k
+        f_image, e_image = act_f(m, m.basis_vector(k)), act_e(m, m.basis_vector(j))
+        f_text = str(f_image[k + 1]) if f_image else None
+        e_text = None
+        if e_image:
+            same = f_image and e_image[j - 1] == f_image[k + 1]
+            e_text = f_text if same else str(e_image[j - 1])
+        f_lines.append(_action_line("f", k, k + 1, k + 1, f_text))
+        e_lines.append(_action_line("e", j, k + 1, j - 1, e_text))
+    lines += ["f action:", *f_lines, "e action:", *reversed(e_lines)]
     lines.append("K action:")
     for k in range(m.dim):
         lines.append(f"  K . f^({k})v = q^{m.lam - 2 * k} f^({k})v")

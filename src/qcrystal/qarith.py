@@ -19,6 +19,7 @@ which is only a shift by e and a scale by c.
 
 import sys
 from functools import lru_cache
+from itertools import repeat
 
 from .sparse import SparseMap
 
@@ -201,11 +202,9 @@ def qint(n):
 
     [0] = 0 and [-n] = -[n], so bar([n]) = [n] for all n.
     """
-    if n == 0:
-        return zero
     if n < 0:
         return -qint(-n)
-    return LaurentPoly._new({n - 1 - 2 * k: 1 for k in range(n)})
+    return LaurentPoly._new(dict(zip(range(n - 1, -n, -2), repeat(1))))
 
 
 @lru_cache(maxsize=None)

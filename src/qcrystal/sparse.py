@@ -78,7 +78,12 @@ class SparseMap:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return NotImplemented if other is None else self + -other
+        if other is None:
+            return NotImplemented
+        out = dict(self._terms)
+        for k, v in other._terms.items():
+            out[k] = out.get(k, 0) - v
+        return self._new(out)
 
     def __rsub__(self, other):
         other = self._coerce(other)

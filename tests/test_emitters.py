@@ -10,9 +10,12 @@ import tracemalloc
 import pytest
 
 import qcrystal as qc
-from emitter_reference import reference_dot, reference_json, reference_text
+import emitter_reference
+from emitter_reference import (reference_dot, reference_json, reference_rank_one,
+                               reference_text)
+from qcrystal import cli
 from qcrystal.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_WRITE,
-                          emit_dot, emit_json, emit_text, main)
+                          emit_dot, emit_json, emit_rank_one, emit_text, main)
 
 EMITTERS = ((emit_json, reference_json), (emit_dot, reference_dot),
             (emit_text, reference_text))
@@ -127,3 +130,38 @@ def test_export_peak_memory_stays_near_generation(tmp_path):
         job = _traced_peak(lambda: main(["crystal", "--type", "G2", "--weight", "3,3",
                                          "--format", fmt, "--out", out]))
         assert job <= 1.5 * generation, (fmt, job / generation)
+
+
+# -- the rank-one table ---------------------------------------------------
+
+@pytest.mark.parametrize("lam", [*range(61), 400])
+def test_rank_one_table_matches_reference(lam):
+    assert emit_rank_one(lam) == reference_rank_one(lam)
+
+
+def test_rank_one_e_line_prints_its_own_image(monkeypatch):
+    # For lambda = 7, e . f^(4)v carries [4] like f . f^(3)v; when act_e computes something
+    # else there, the e-line must print that, not the f-line's text.
+    act_e = cli.act_e
+
+    def off_at_4(m, v):
+        image = act_e(m, v)
+        return {k: c + 1 for k, c in image.items()} if 4 in v else image
+
+    for module in (cli, emitter_reference):
+        monkeypatch.setattr(module, "act_e", off_at_4)
+    out = emit_rank_one(7)
+    assert out == reference_rank_one(7)
+    lines = out.decode().splitlines()
+    assert "  f . f^(3)v = [4] f^(4)v = (q^3 + q + q^-1 + q^-3) f^(4)v" in lines
+    assert "  e . f^(4)v = [4] f^(3)v = (q^3 + q + 1 + q^-1 + q^-3) f^(3)v" in lines
+    assert "  e . f^(4)v = [4] f^(3)v = (q^3 + q + q^-1 + q^-3) f^(3)v" not in lines
+
+
+def test_rank_one_table_peak_memory_is_about_three_outputs():
+    # The lines, their join and its encoding hold the output three times
+    # over; nothing else of that size (such as a memo of rendered
+    # coefficients keyed by polynomial) may stay alive during the job.
+    emit_rank_one(10)
+    out = emit_rank_one(200)
+    assert _traced_peak(lambda: emit_rank_one(200)) <= 4 * len(out)

@@ -25,6 +25,16 @@ def test_qint_small():
     assert qint(-3) == -qint(3)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-60, 60))
+def test_qint_matches_its_term_list(n):
+    # [n] = q^(n-1) + q^(n-3) + ... + q^(1-n); [-n] = -[n]
+    expected = LaurentPoly({n - 1 - 2 * k: 1 for k in range(n)}) if n >= 0 else \
+        LaurentPoly({-n - 1 - 2 * k: -1 for k in range(-n)})
+    assert qint(n) == expected
+    assert qint(n)._terms == expected._terms
+
+
 def test_qint_term_count():
     for n in range(1, 12):
         assert len(qint(n)) == n

@@ -70,6 +70,31 @@ def test_int_operands_match_dict_reference(pa, n):
         assert hash(a) == hash(n)
 
 
+@pytest.mark.parametrize("cls", [LaurentPoly, FormalCharacter])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_difference_is_sum_with_negation(cls, data):
+    # ``-`` is one pass of its own; it must agree with ``+`` of the negation,
+    # also when b repeats part of a and the shared keys cancel.
+    pa, pb = data.draw(pair_lists(KEYS[cls])), data.draw(pair_lists(KEYS[cls]))
+    a, b = cls(pa), cls(pb)
+    part = cls(pa[:data.draw(st.integers(0, len(pa)))])
+    for x, y in ((a, b), (a, a), (a, part), (part, a), (a + b, b), (b, a + b)):
+        assert x - y == x + (-y)
+        assert (x - y)._terms == (x + (-y))._terms
+    assert not (a - a)._terms and (a + b) - b == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_lists(KEYS[LaurentPoly]), values)
+def test_difference_with_int_operands_is_sum_with_negation(pa, n):
+    p = LaurentPoly(pa)
+    assert p - n == p + (-n) and n - p == n + (-p)
+    assert (p - 3)._terms == (p + -3)._terms and (3 - p)._terms == (3 + -p)._terms
+    const = LaurentPoly({0: n})
+    assert not (const - n)._terms and not (n - const)._terms
+
+
 def test_immutable_with_type_name():
     for value in (LaurentPoly({1: 2}), FormalCharacter({(1, 0): 2})):
         with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
