@@ -5,6 +5,8 @@ Characters of crystal subsets are nonnegative, but Demazure operators need
 signed intermediate values, so negative entries are allowed and crystal
 characters are validated at the boundary instead.  ``FormalCharacter`` is a
 ``SparseMap`` (``sparse.py``), the core it shares with ``LaurentPoly``.
+``demazure_operator`` is the step of ``root_data._orbit_walk`` that grows the
+Demazure characters: D_w(e^lambda) = D_{w[0]}(D_{w[1:]}(e^lambda)).
 
 Two independent oracles live here: the Weyl dimension product formula and
 Freudenthal's multiplicity recursion.  Neither touches the path model, so
@@ -17,9 +19,9 @@ import itertools
 
 from .demazure import demazure_crystal
 from .root_data import (_check_length, _check_rank, _coroots, _coset_words,
-                        _element, _Orbit, dominant_representative, is_dominant,
-                        positive_roots, root_coords, root_weight_coords,
-                        simple_root, weyl_group, weyl_orbit)
+                        _element, _Orbit, _orbit_walk, dominant_representative,
+                        is_dominant, positive_roots, root_coords,
+                        root_weight_coords, simple_root, weyl_group, weyl_orbit)
 from .sparse import SparseMap
 
 
@@ -101,32 +103,15 @@ def apply_demazure_word(datum, word, chi):
     return chi
 
 
-def _character_levels(datum, orbit, words, order):
-    """Yield (o, w, D_w(e^lambda)) for each point o of ``orbit``, W.lambda.
-
-    ``words, order`` are ``root_data._coset_words(orbit)``.  The first
-    letter i of w is a left descent and w[1:] is the word of the point
-    refl[i - 1][o], so D_w(e^lambda) = D_i(D_{w[1:]}(e^lambda)) equals
-    ``apply_demazure_word(datum, w, e^lambda)``.  Only the characters of
-    w's length and the length below are held.
-    """
-    below, level, length = {}, {0: FormalCharacter.monomial(orbit.points[0])}, 0
-    yield 0, (), level[0]
-    for o in order[1:]:
-        w = words[o]
-        if len(w) > length:
-            below, level, length = level, {}, len(w)
-        level[o] = demazure_operator(datum, w[0], below[orbit.refl[w[0] - 1][o]])
-        yield o, w, level[o]
-
-
 def demazure_characters(datum, lam):
     """D_w(e^lambda) for every w in ``weyl_group`` order, read at w(lambda); lambda dominant."""
     _check_rank(datum, lam)
     if not is_dominant(lam):
         raise ValueError(f"Demazure characters need a dominant weight, got {tuple(lam)}")
     orbit = _Orbit(datum, lam)
-    points = {o: chi for o, _, chi in _character_levels(datum, orbit, *_coset_words(orbit))}
+    walk = _orbit_walk(orbit, *_coset_words(orbit), FormalCharacter.monomial(lam),
+                       lambda i, chi: demazure_operator(datum, i, chi))
+    points = {o: chi for o, _, chi, _ in walk}
     return {w: points[_element(datum, w, orbit.refl)] for w in weyl_group(datum)}
 
 

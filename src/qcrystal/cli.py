@@ -23,13 +23,13 @@ import sys
 import time
 from itertools import islice
 
-from .character import _character_levels, char_of, weyl_character, weyl_dimension
+from .character import FormalCharacter, char_of, demazure_operator, weyl_character, weyl_dimension
 from .crystal import (DEFAULT_MAX_ELEMENTS, PathKernelError, ResourceCapError,
                       generate_crystal, verify_normal)
 from . import demazure
 from .demazure import DemazureCrystal, demazure_crystal
 from .rank_one import RankOneModule, act_e, act_f, verify_sl2_relation
-from .root_data import _coset_words, cartan_datum, longest_word, weyl_order
+from .root_data import _coset_words, _orbit_walk, cartan_datum, longest_word, weyl_order
 
 log = logging.getLogger("qcrystal")
 
@@ -274,7 +274,7 @@ def emit_rank_one(lam):
 
 
 def _corrupt(dc):
-    """Drop a mid-string member so the string property must fail."""
+    """Drop the bottom of the first i-string inside the subset; what is left may still pass."""
     for i in dc.graph.indices():
         for s in demazure.i_strings(dc.graph, i):
             if s.length >= 1 and set(s.members) <= dc.members:
@@ -293,10 +293,10 @@ def _phase(name, start, detail=""):
 def run_verify(job):
     """Run the whole combinatorial suite; returns (report rows, ok).
 
-    One walk over the orbit W.lambda, two length levels alive, yields every
-    Demazure subset and character (``demazure``'s and ``character``'s
-    ``_levels``); each B_w is checked as it is built, and each row keeps its
-    first failure in (length, word) order of the points.  B_w must also be
+    Two ``root_data._orbit_walk``s over W.lambda, in the one order of one
+    ``_coset_words``, yield every Demazure subset (``demazure._subset_levels``)
+    and character (``demazure_operator``); each B_w is checked as it is built,
+    and each row keeps its first failure in that order.  B_w must also be
     f_tilde_j closed where s_j fixes w(lambda), for the left descents of the
     longer words with that point.  ``--inject-failure`` corrupts B_{w0} at
     the last point, named by w0's word, for the string and filtration checks.
@@ -316,8 +316,9 @@ def run_verify(job):
     strings = filtration = independence = characters = None
     peak = 0
     walk = zip(demazure._subset_levels(graph, words, order),
-               _character_levels(datum, graph.orbit, words, order))
-    for (o, w, members, disagreement, live), (*_, chi) in walk:
+               _orbit_walk(graph.orbit, words, order, FormalCharacter.monomial(job.weight),
+                           lambda i, chi: demazure_operator(datum, i, chi)))
+    for (o, w, members, disagreement, live), (_, _, chi, _) in walk:
         peak = max(peak, live)
         dc = DemazureCrystal(graph, w, members)
         if job.inject_failure and o == order[-1]:
@@ -333,8 +334,7 @@ def run_verify(job):
             independence = (w, disagreement)
         if characters is None and char_of(members, graph) != chi:
             characters = (w, "character mismatch")
-        top_char = chi  # w0 comes last
-    start = _phase("weak-order walk", start, f", peak {peak} live member slots")
+    start = _phase("orbit walk", start, f", peak {peak} live member slots")
 
     rows = [("normal-crystal-relations", *normal),
             (f"string-property ({weyl_order(datum)} words x {datum.rank} indices)",
@@ -345,7 +345,7 @@ def run_verify(job):
 
     freudenthal = weyl_character(datum, job.weight)
     crystal_char = char_of(graph.all_ids(), graph)
-    ok = crystal_char == freudenthal == top_char
+    ok = crystal_char == freudenthal == chi  # the walk's last, D_{w0}(e^lambda)
     rows.append(("weyl-character-agreement", ok, None if ok else "character mismatch"))
     start = _phase("weyl-character-agreement", start)
 

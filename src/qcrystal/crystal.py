@@ -314,20 +314,25 @@ class CrystalGraph:
         """Id of e_tilde_i(b), or None."""
         return _follow(self.parents, b, i)
 
+    def _id(self, b):
+        if 0 <= b < len(self.runs):  # a negative b must not read from the end
+            return b
+        raise IndexError(f"element id {b} out of range 0..{len(self.runs) - 1}")
+
     def eps(self, b, i):
         _check_index(self.datum, i)
-        return self.eps_of[b][i - 1]
+        return self.eps_of[self._id(b)][i - 1]
 
     def phi(self, b, i):
         _check_index(self.datum, i)
-        return self.phi_of[b][i - 1]
+        return self.phi_of[self._id(b)][i - 1]
 
     def weight(self, b):
-        return self.weight_of[b]
+        return self.weight_of[self._id(b)]
 
     def path(self, b):
         """The path of element b as an LSPath with exact Fraction steps."""
-        return _from_grid(self.denominator, self.orbit.steps(self.runs[b]))
+        return _from_grid(self.denominator, self.orbit.steps(self.runs[self._id(b)]))
 
     def all_ids(self):
         return range(len(self.runs))

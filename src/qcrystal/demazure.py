@@ -11,20 +11,17 @@ lambda = (1, 1):
 
 so (1, 2) first saturates letter 2, then letter 1.
 
-``demazure_crystal`` follows one word.  Every B_w(lambda) comes from one
-walk over the orbit W.lambda, of at most |B(lambda)| points: B_w
-depends only on w(lambda), and B_w is the f_tilde_i closure of B_{s_i w}
-for a left descent i, computed for every left descent of the shortest w
+``demazure_crystal`` follows one word.  B_w depends only on w(lambda), so
+every B_w(lambda) comes from ``root_data._orbit_walk`` over the orbit W.lambda
+(at most |B(lambda)| points), with saturation as its step: the f_tilde_i
+closure of B_{s_i w}, computed for every left descent i of the shortest w
 reaching each point.  B_w must also be f_tilde_j closed where s_j fixes
 w(lambda), which stands in for the descents of longer words with that
 point.  Disagreements are reported; when none occur, by induction on
 length every reduced word of every w cuts the same subset, so reduced-word
 independence is checked exactly, for every type, without enumerating them.
-
-Each s_i w is one length shorter than w, so the walk keeps only two length
-levels of subsets alive.  It yields each B_w as it is built, in (length,
-word) order of the points, and a caller such as ``verify`` checks it and
-lets it go; ``demazure_subsets`` maps every w in W to its point's subset.
+The walk keeps two length levels of subsets alive, as int arrays; ``verify``
+checks each B_w as it is built, and ``demazure_subsets`` keeps them all.
 
 An i-string is stored once, in the graph's i-th child and parent
 columns; ``i_strings`` lists the strings and checks that the i-edges
@@ -37,8 +34,8 @@ from array import array
 from dataclasses import dataclass
 
 from .root_data import (_check_index, _check_rank, _coset_words, _element,
-                        all_reduced_words, canonical_word, is_reduced,
-                        left_descents, reflect, weyl_group)
+                        _orbit_walk, all_reduced_words, canonical_word,
+                        is_reduced, left_descents, reflect, weyl_group)
 
 
 @dataclass(frozen=True)
@@ -92,35 +89,30 @@ def demazure_crystal(graph, word):
 def _subset_levels(graph, words, order):
     """Yield (o, w, members, disagreement, live) for each point o of W.lambda.
 
-    ``words, order`` are ``root_data._coset_words(graph.orbit)``, w the
-    shortest word with w(lambda) = points[o].  ``members`` is B_w(lambda), the
-    f_tilde_i closure of B(refl[i - 1][o]) for the first letter i of w.
-    It is compared with the closure for every other left descent j, and
-    with its own f_tilde_j closure for every j that fixes the point.
-    ``disagreement`` is None when all agree, else for the first j that
-    does not it is ``("left descents disagree", i, j, b)``, b the smallest
-    element id in one set but not the other.  Only two length levels are
-    held, as int arrays; ``live`` is their member count.
+    ``root_data._orbit_walk`` over ``words, order = _coset_words(graph.orbit)``
+    yields ``members``, B_w(lambda).  For each other left descent j it must
+    equal the f_tilde_j closure of B(refl[j - 1][o]), and for each j fixing
+    the point its own; ``disagreement`` is ``("left descents disagree", w[0],
+    j, b)`` for the first j where it does not, b the least id in one set
+    only, else None.  ``live`` counts the members of the walk's two levels.
     """
-    refl = graph.orbit.refl
-    below, level, length, live = {}, {0: array("i", [0])}, 0, 1
-    yield 0, (), frozenset({0}), None, live
-    for o in order[1:]:
-        w = words[o]
-        if len(w) > length:
-            live -= sum(map(len, below.values()))
-            below, level, length = level, {}, len(w)
-        i = w[0]  # the smallest left descent
-        first = frozenset(_saturate(graph, below[refl[i - 1][o]], i))
-        level[o] = array("i", first)
-        live += len(first)
+    refl, first = graph.orbit.refl, frozenset({0})
+
+    def grow(i, prev):
+        nonlocal first  # the set the array is made from, for the comparisons
+        first = frozenset(_saturate(graph, prev, i))
+        return array("i", first)
+
+    live = {}  # member count per length
+    for o, w, members, below in _orbit_walk(graph.orbit, words, order, array("i", [0]), grow):
+        live[len(w)] = live.get(len(w), 0) + len(members)
         disagreement = None
         for j, row in enumerate(refl, 1):
-            if j != i and row[o] <= o:  # another left descent, or s_j fixes the point
+            if o and j != w[0] and row[o] <= o:  # another left descent, or s_j fixes the point
                 other = _saturate(graph, below[row[o]] if row[o] < o else first, j)
                 if disagreement is None and other != first:
-                    disagreement = ("left descents disagree", i, j, min(first ^ other))
-        yield o, w, first, disagreement, live
+                    disagreement = ("left descents disagree", w[0], j, min(first ^ other))
+        yield o, w, first, disagreement, live[len(w)] + live.get(len(w) - 1, 0)
 
 
 def demazure_subsets(graph):

@@ -21,6 +21,7 @@ independently, the bracket identity on [n] in big ints at q = 2^bits, with
 ``bits`` wide enough for that check to be exact (``_bracket_bits``).
 """
 
+import operator
 from dataclasses import dataclass
 
 from .qarith import LaurentPoly, qbinom, qfact, qint, zero
@@ -31,7 +32,7 @@ class RankOneModule:
     lam: int
 
     def __post_init__(self):
-        if self.lam < 0:
+        if operator.index(self.lam) < 0:  # a float or Fraction would give a fractional dim
             raise ValueError("highest weight must be a nonnegative integer")
 
     @property

@@ -9,8 +9,8 @@ coroots are all computed with exact integer or rational arithmetic.
 The Weyl group W is read off the orbit of rho: rho is regular, so W acts
 simply transitively on it, and its breadth-first search under the simple
 reflections lists W in order of length with left multiplication as the
-reflection table.  ``_Orbit`` is that search, the one in the package; the
-path kernel, the Demazure walk over W.lambda and ``weyl_orbit`` read it too.
+reflection table.  ``_Orbit`` is that search, the one in the package; the path
+kernel, ``weyl_orbit`` and ``_orbit_walk``, the one walk over W.lambda, read it too.
 
 Supported types: A1..A4, B2, B3, C3, D4, G2, each written out with its
 symmetrizers in the one literal table ``_TYPES``; ``CartanDatum`` checks
@@ -214,6 +214,22 @@ def _coset_words(orbit):
         words.append(min((i,) + words[row[o]]
                          for i, row in enumerate(orbit.refl, 1) if row[o] < o))
     return words, sorted(range(len(words)), key=lambda o: (len(words[o]), words[o]))
+
+
+def _orbit_walk(orbit, words, order, top, grow):
+    """Yield (o, w, value, below) per point o, in ``words, order = _coset_words(orbit)``.
+
+    w = words[o].  The value is ``top`` at lambda, else ``grow(w[0], v)`` for the
+    value v at the point of w[1:], refl[w[0] - 1][o].  ``below`` maps the points
+    one length shorter than w to their values: only two levels are alive.
+    """
+    below, level, length = {}, {}, 0
+    for o in order:
+        w = words[o]
+        if len(w) > length:
+            below, level, length = level, {}, len(w)
+        level[o] = value = grow(w[0], below[orbit.refl[w[0] - 1][o]]) if w else top
+        yield o, w, value, below
 
 
 @lru_cache(maxsize=None)

@@ -59,6 +59,19 @@ def test_string_data_rejects_an_index_out_of_range(i, graph_of):
     assert graph.f(0, i) is None and graph.e(5, i) is None
 
 
+@pytest.mark.parametrize("accessor", ["weight", "eps", "phi", "path"])
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_element_accessors_reject_an_id_out_of_range(accessor, where, graph_of):
+    # weight_of[-1] alone would read the lowest element, where f and e give None
+    graph = graph_of("A2", (1, 1))
+    b = -1 if where == "before" else len(graph)
+    read = getattr(graph, accessor)
+    args = (b, 1) if accessor in ("eps", "phi") else (b,)
+    with pytest.raises(IndexError, match=re.escape(f"element id {b} out of range 0..7")):
+        read(*args)
+    assert graph.f(b, 1) is None and graph.e(b, 1) is None
+
+
 def test_public_operators_share_grid_tables_per_shape(graph_of):
     graph = graph_of("D4", (1, 1, 1, 1))
     datum = graph.datum
@@ -96,7 +109,7 @@ def test_verify_logs_one_line_per_phase(caplog, capsys, graph_of):
     pattern = re.compile(r"verify phase ([a-z -]+): \d+\.\d{3} s(.*)")
     phases = [pattern.fullmatch(line).groups() for line in lines]
     assert [name for name, _ in phases] == [
-        "generation", "normal-crystal-relations", "weak-order walk",
+        "generation", "normal-crystal-relations", "orbit walk",
         "weyl-character-agreement", "weyl-dimension-agreement"]
     assert phases[0][1] == ", 16 elements"
     peak = _two_level_peak(graph_of("B2", (1, 1)))

@@ -1,5 +1,7 @@
 """Rank-one quantized module: action formulas, divided powers, crystal chain."""
 
+from fractions import Fraction
+
 import pytest
 
 from qcrystal.qarith import LaurentPoly, qbinom, qint
@@ -15,6 +17,12 @@ def test_dimension():
     assert RankOneModule(7).dim == 8
     with pytest.raises(ValueError):
         RankOneModule(-1)
+
+
+@pytest.mark.parametrize("lam", [2.5, 3.0, Fraction(3), "3"])
+def test_highest_weight_must_be_an_int(lam):
+    with pytest.raises(TypeError):
+        RankOneModule(lam)
 
 
 def test_act_f_examples():

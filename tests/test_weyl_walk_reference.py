@@ -17,11 +17,11 @@ import pytest
 
 import weyl_walk_reference as ref
 from conftest import tampered
-from qcrystal import character, cli, demazure
-from qcrystal.character import _character_levels, demazure_characters
+from qcrystal import character, cli, demazure, root_data
+from qcrystal.character import FormalCharacter, demazure_characters, demazure_operator
 from qcrystal.demazure import _subset_levels, demazure_subsets
-from qcrystal.root_data import (_coset_words, _element, cartan_datum, rho,
-                                supported_types, weyl_group)
+from qcrystal.root_data import (_coset_words, _element, _orbit_walk, cartan_datum,
+                                rho, supported_types, weyl_group)
 from test_dict_graph_reference import _outcome
 
 
@@ -47,6 +47,12 @@ def _job(name, lam, inject=False):
     return cli.parse_args(_argv(name, lam, inject))
 
 
+def _character_walk(datum, orbit, words, order):
+    """The orbit walk with ``demazure_operator`` as its step, as ``verify`` runs it."""
+    return _orbit_walk(orbit, words, order, FormalCharacter.monomial(orbit.points[0]),
+                       lambda i, chi: demazure_operator(datum, i, chi))
+
+
 def _same_graph(monkeypatch, graph):
     for module in (cli, ref):
         monkeypatch.setattr(module, "generate_crystal", lambda *a, **k: graph)
@@ -58,12 +64,12 @@ def test_each_word_gets_the_subset_and_character_of_its_point(name, lam, graph_o
     datum, orbit = graph.datum, graph.orbit
     coset = _coset_words(orbit)
     walk = list(_subset_levels(graph, *coset))
-    char_walk = list(_character_levels(datum, orbit, *coset))
-    assert [o for o, *_ in walk] == [o for o, _, _ in char_walk]
+    char_walk = list(_character_walk(datum, orbit, *coset))
+    assert [o for o, *_ in walk] == [o for o, *_ in char_walk]
     assert sorted(o for o, *_ in walk) == list(range(len(orbit.points)))
     assert all(disagreement is None for *_, disagreement, _ in walk)
     subsets = {o: members for o, _, members, _, _ in walk}
-    chars = {o: chi for o, _, chi in char_walk}
+    chars = {o: chi for o, _, chi, _ in char_walk}
     expected_subsets = {w: members for w, members, _, _ in ref._subset_levels(graph)}
     expected_chars = dict(ref._character_levels(datum, lam))
     assert tuple(expected_subsets) == tuple(expected_chars) == weyl_group(datum)
@@ -86,7 +92,36 @@ def test_walk_visits_the_orbit_not_the_group(graph_of, monkeypatch):
         monkeypatch.setattr(module, name, None)  # the walks must not call them
     coset = _coset_words(graph.orbit)
     assert len(list(_subset_levels(graph, *coset))) == len(graph.orbit.points) == 24
-    assert len(list(_character_levels(graph.datum, graph.orbit, *coset))) == 24
+    assert len(list(_character_walk(graph.datum, graph.orbit, *coset))) == 24
+
+
+@pytest.mark.parametrize("name,lam", CASES + SINGULAR)
+def test_orbit_walk_visits_each_point_once_with_the_level_below(name, lam, graph_of):
+    orbit = graph_of(name, lam).orbit
+    words, order = _coset_words(orbit)
+    steps = []
+    walk = _orbit_walk(orbit, words, order, (), lambda i, v: v + (i,))
+    for o, w, value, below in walk:
+        assert w == words[o] == value[::-1]  # each step grows the value of w[1:]
+        assert set(below) == {p for p in order if len(words[p]) == len(w) - 1}
+        steps.append(o)
+    assert steps == order and sorted(steps) == list(range(len(orbit.points)))
+
+
+def test_verify_computes_the_coset_words_once(graph_of, monkeypatch):
+    graph = graph_of("A3", (0, 1, 0))
+    _same_graph(monkeypatch, graph)
+    calls = []
+
+    def counted(orbit):
+        calls.append(orbit)
+        return _coset_words(orbit)
+
+    for module in (cli, demazure, character, root_data):
+        monkeypatch.setattr(module, "_coset_words", counted)
+    rows, ok = cli.run_verify(_job("A3", (0, 1, 0)))
+    # a cold ``_weyl`` cache may add a call on the orbit of rho
+    assert ok and sum(orbit is graph.orbit for orbit in calls) == 1
 
 
 @pytest.mark.parametrize("inject", [False, True])
