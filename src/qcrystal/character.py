@@ -16,6 +16,7 @@ consequence of the underlying vanishing theory, not a proof of it.
 """
 
 import itertools
+from collections import Counter
 
 from .demazure import demazure_crystal
 from .root_data import (_check_length, _check_rank, _coroots, _coset_words,
@@ -63,11 +64,11 @@ class FormalCharacter(SparseMap):
 
 
 def char_of(members, graph):
-    """Character of a subset of crystal elements, aggregated by weight."""
-    return FormalCharacter((graph.weight(b), 1) for b in members)
+    """Character of a subset of crystal elements, aggregated by weight (counted in C)."""
+    return FormalCharacter._new(dict(Counter(map(graph.weight, members))))
 
 
-def demazure_operator(datum, i, chi):
+def demazure_operator(datum, i, chi, shared=None):
     """The idempotent Demazure operator D_i on the group algebra of P.
 
     On a monomial e^mu with m = <h_i, mu>:
@@ -76,8 +77,13 @@ def demazure_operator(datum, i, chi):
         m <= -2:  -(e^(mu + alpha_i) + ... + e^(mu + (-m-1) alpha_i))
     extended linearly.  This is (e^mu - e^(s_i mu - alpha_i)) / (1 - e^(-alpha_i))
     with the geometric series summed exactly.
+
+    ``shared``, a dict kept across the calls of one walk, maps each weight
+    to its one tuple object, so that the characters alive together hold
+    one key object per distinct weight.
     """
     alpha, rank = simple_root(datum, i), datum.rank
+    shared = {} if shared is None else shared
     out: dict[tuple[int, ...], int] = {}
     for mu, c in chi._terms.items():
         if len(mu) != rank:  # one comparison per term; the check raises
@@ -86,10 +92,12 @@ def demazure_operator(datum, i, chi):
         if m >= 0:
             for k in range(m + 1):
                 w = tuple(x - k * a for x, a in zip(mu, alpha))
+                w = shared.setdefault(w, w)
                 out[w] = out.get(w, 0) + c
         elif m <= -2:
             for k in range(1, -m):
                 w = tuple(x + k * a for x, a in zip(mu, alpha))
+                w = shared.setdefault(w, w)
                 out[w] = out.get(w, 0) - c
     return FormalCharacter._new(out)
 
@@ -105,12 +113,13 @@ def apply_demazure_word(datum, word, chi):
 
 def demazure_characters(datum, lam):
     """D_w(e^lambda) for every w in ``weyl_group`` order, read at w(lambda); lambda dominant."""
+    lam = tuple(lam)
     _check_rank(datum, lam)
     if not is_dominant(lam):
-        raise ValueError(f"Demazure characters need a dominant weight, got {tuple(lam)}")
-    orbit = _Orbit(datum, lam)
+        raise ValueError(f"Demazure characters need a dominant weight, got {lam}")
+    orbit, shared = _Orbit(datum, lam), {lam: lam}
     walk = _orbit_walk(orbit, *_coset_words(orbit), FormalCharacter.monomial(lam),
-                       lambda i, chi: demazure_operator(datum, i, chi))
+                       lambda i, chi: demazure_operator(datum, i, chi, shared))
     points = {o: chi for o, _, chi, _ in walk}
     return {w: points[_element(datum, w, orbit.refl)] for w in weyl_group(datum)}
 

@@ -4,14 +4,15 @@ Subcommands: crystal, demazure, character, rank-one, verify.  The job is
 the argparse namespace that ``parse_args`` validates; ``_run`` does all
 the work that can fail and returns an exit code and a producer, which
 ``_write`` points at the ``--out`` file or at stdout's binary buffer.
-Output is written chunk by chunk: the crystal emitters format one element
-or edge at a time, so no full document is held in memory, and nothing is
-decoded on the way out.  Output is deterministic byte for byte: element
-ids are BFS order, edges and members are emitted sorted, and JSON key
-order is fixed.  Exit codes: 0 success, 1 verification failure (also a
-path kernel invariant failure), 2 usage error, 3 output write failure
-(also when a reader closes stdout early), 4 resource cap exceeded.  Set
-CRYSTAL_LOG to error, info or debug to adjust logging.
+Output is written in chunks of about ``_CHUNK_CHARS`` characters: the
+crystal emitters format one element or edge at a time and the rank-one
+table one line at a time, so no full document is held in memory, and
+nothing is decoded on the way out.  Output is deterministic byte for
+byte: element ids are BFS order, edges and members are emitted sorted,
+and JSON key order is fixed.  Exit codes: 0 success, 1 verification
+failure (also a path kernel invariant failure), 2 usage error, 3 output
+write failure (also when a reader closes stdout early), 4 resource cap
+exceeded.  Set CRYSTAL_LOG to error, info or debug to adjust logging.
 """
 
 import argparse
@@ -21,7 +22,6 @@ import logging
 import os
 import sys
 import time
-from itertools import islice
 
 from .character import FormalCharacter, char_of, demazure_operator, weyl_character, weyl_dimension
 from .crystal import (DEFAULT_MAX_ELEMENTS, PathKernelError, ResourceCapError,
@@ -122,12 +122,13 @@ def parse_args(argv):
 # -- exporters ----------------------------------------------------------
 
 
-#: Pieces (one element, edge or line each) joined into one chunk of output.
-_CHUNK_PIECES = 500
+#: Characters joined into one chunk of output: about 100 crystal elements
+#: or edges, or 10 lines of a rank-one table at lambda = 400.
+_CHUNK_CHARS = 32_768
 
 
 def _emit(pieces, write):
-    """Hand the pieces to ``write`` as bytes, ``_CHUNK_PIECES`` per chunk.
+    """Hand the pieces to ``write`` as bytes, in chunks of about ``_CHUNK_CHARS``.
 
     With ``write`` None the chunks are collected and their bytes returned.
     """
@@ -135,8 +136,14 @@ def _emit(pieces, write):
         chunks = []
         _emit(pieces, chunks.append)
         return b"".join(chunks)
-    pieces = iter(pieces)
-    while batch := list(islice(pieces, _CHUNK_PIECES)):
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _CHUNK_CHARS:
+            write("".join(batch).encode())
+            batch, size = [], 0
+    if batch:
         write("".join(batch).encode())
     return None
 
@@ -243,10 +250,11 @@ def _action_line(name, k, n, target, text):
     return f"  {name} . f^({k})v = {desc}"
 
 
-def emit_rank_one(lam):
-    m = RankOneModule(lam)
-    lines = [f"rank-one module V({lam}) over Z[q,q^-1], basis f^(k)v, k = 0..{lam}"]
-    f_lines, e_lines = [], []
+def _rank_one_pieces(m, ok):
+    lam = m.lam
+    yield (f"rank-one module V({lam}) over Z[q,q^-1], basis f^(k)v, k = 0..{lam}\n"
+           "f action:\n")
+    e_texts = []
     for k in range(m.dim):
         # f . f^(k)v and e . f^(j)v, j = lam - k, both carry [k+1]: when the
         # two images agree, their coefficient is rendered once for both lines.
@@ -257,17 +265,29 @@ def emit_rank_one(lam):
         if e_image:
             same = f_image and e_image[j - 1] == f_image[k + 1]
             e_text = f_text if same else str(e_image[j - 1])
-        f_lines.append(_action_line("f", k, k + 1, k + 1, f_text))
-        e_lines.append(_action_line("e", j, k + 1, j - 1, e_text))
-    lines += ["f action:", *f_lines, "e action:", *reversed(e_lines)]
-    lines.append("K action:")
+        yield _action_line("f", k, k + 1, k + 1, f_text) + "\n"
+        e_texts.append(e_text)  # the e-lines follow the f-lines, j ascending
+    yield "e action:\n"
+    for j, e_text in enumerate(reversed(e_texts)):
+        yield _action_line("e", j, lam - j + 1, j - 1, e_text) + "\n"
+    yield "K action:\n"
     for k in range(m.dim):
-        lines.append(f"  K . f^({k})v = q^{m.lam - 2 * k} f^({k})v")
-    chain = " -> ".join(str(k) for k in range(m.dim))
-    lines.append(f"crystal chain: {chain}")
+        yield f"  K . f^({k})v = q^{lam - 2 * k} f^({k})v\n"
+    yield "crystal chain: " + " -> ".join(map(str, range(m.dim))) + "\n"
+    yield f"sl2 relation (ef - fe = [lambda - 2k]): {'ok' if ok else 'VIOLATED'}\n"
+
+
+def emit_rank_one(lam, write=None):
+    """The rank-one table of V(lambda): the f, e and K actions, the chain, the sl2 check.
+
+    The sl2 relation is checked before the first byte is written.  Lines
+    are formatted one at a time; only the e-line coefficient texts, printed
+    after every f-line, are held.  Bytes go to ``write`` in chunks, or are
+    returned whole when it is None.
+    """
+    m = RankOneModule(lam)
     ok, _ = verify_sl2_relation(m)
-    lines.append(f"sl2 relation (ef - fe = [lambda - 2k]): {'ok' if ok else 'VIOLATED'}")
-    return ("\n".join(lines) + "\n").encode()
+    return _emit(_rank_one_pieces(m, ok), write)
 
 
 # -- verification suite ---------------------------------------------------
@@ -314,10 +334,11 @@ def run_verify(job):
         demazure.i_strings(graph, i)  # raises unless the i-edges partition the crystal
     words, order = _coset_words(graph.orbit)  # order[-1] is w0(lambda)
     strings = filtration = independence = characters = None
-    peak = 0
+    lam = graph.highest_weight
+    peak, shared = 0, {lam: lam}  # one tuple object per weight across the character walk
     walk = zip(demazure._subset_levels(graph, words, order),
-               _orbit_walk(graph.orbit, words, order, FormalCharacter.monomial(job.weight),
-                           lambda i, chi: demazure_operator(datum, i, chi)))
+               _orbit_walk(graph.orbit, words, order, FormalCharacter.monomial(lam),
+                           lambda i, chi: demazure_operator(datum, i, chi, shared)))
     for (o, w, members, disagreement, live), (_, _, chi, _) in walk:
         peak = max(peak, live)
         dc = DemazureCrystal(graph, w, members)
@@ -418,15 +439,15 @@ def _run(job):
     """(exit code, produce) for a validated job.
 
     Everything that can fail runs here, before any output is opened;
-    ``produce(write)`` then hands the output bytes to ``write``.
+    ``produce(write)`` then hands the output bytes to ``write``.  The
+    streamed emitters, ``emit_rank_one`` among them, run inside ``produce``.
     """
     if job.command == "rank-one":
         lam = job.weight[0]
         if lam + 1 > job.max_elements:
             raise ResourceCapError(f"V({lam}) has {lam + 1} basis elements, "
                                    f"above the cap of {job.max_elements}")
-        data = emit_rank_one(lam)
-        return EXIT_OK, lambda write: write(data)
+        return EXIT_OK, functools.partial(emit_rank_one, lam)
     if job.command == "verify":
         rows, ok = run_verify(job)
         data = _verify_output(job, rows, ok)

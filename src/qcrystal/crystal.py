@@ -41,10 +41,11 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import chain, groupby
 from math import lcm
+from operator import sub
 
 from .character import weyl_dimension
 from .root_data import (_check_index, _check_rank, _coroots, _Orbit,
-                        dominant_representative, is_dominant)
+                        dominant_representative, is_dominant, simple_root)
 
 DEFAULT_MAX_ELEMENTS = 200_000
 
@@ -346,6 +347,12 @@ def generate_crystal(datum, lam, max_elements=DEFAULT_MAX_ELEMENTS):
     element's weight, eps and phi are read off the same height functions
     that its lowering uses.  The child columns grow one BFS level at a
     time; the constructor derives the parent columns from them.
+
+    Lowering by f_tilde_i takes a weight down by exactly alpha_i, so every
+    child lies one level below its parent, and paths are deduplicated
+    within the next level only: no path-to-id map of the whole crystal is
+    kept.  A guard keeps that exact: each new element's weight must equal
+    its first parent's weight minus alpha_i, else PathKernelError.
     """
     lam = tuple(lam)
     projected = weyl_dimension(datum, lam)
@@ -355,17 +362,18 @@ def generate_crystal(datum, lam, max_elements=DEFAULT_MAX_ELEMENTS):
             f"above the cap of {max_elements}")
     denom, orbit = _denominator(datum, lam), _Orbit(datum, lam)
     rows = list(zip(orbit.pair, orbit.refl))
+    alphas = [simple_root(datum, i) for i in datum.indices()]
     run = cache(orbit.run)  # decoded runs, for this call's level order only
     top = (0, denom) if any(lam) else ()  # the straight path to lam
-    runs, ids = [top], {top: 0}
+    runs, expected = [top], [lam]  # expected: the weights the current level must have
     weight_of, eps_of, phi_of = [], [], []
     shared = {}  # one tuple object per distinct weight, eps or phi value
     children = [array("i", [-1]) for _ in rows]
     start = 0
     while start < len(runs):
-        pending = set()
+        pending = {}  # child path -> its first parent's weight minus alpha_i
         hits: list[tuple[int, int, tuple]] = []
-        for b in range(start, len(runs)):
+        for b, want in zip(range(start, len(runs)), expected):
             path = runs[b]
             data = []
             for i0, (pair, refl) in enumerate(rows):
@@ -375,23 +383,29 @@ def generate_crystal(datum, lam, max_elements=DEFAULT_MAX_ELEMENTS):
                 if child is None:
                     continue
                 hits.append((b, i0, child))
-                if child not in ids:
-                    pending.add(child)
+                if child not in pending:
+                    lower = tuple(map(sub, want, alphas[i0]))
+                    pending[child] = shared.setdefault(lower, lower)
             weight, eps, phi = zip(*data)
-            weight_of.append(shared.setdefault(weight, weight))
+            if weight != want:
+                raise PathKernelError(f"path {path} has weight {weight}, not {want}: "
+                                      "a lowering left its level")
+            weight_of.append(want)
             eps_of.append(shared.setdefault(eps, eps))
             phi_of.append(shared.setdefault(phi, phi))
         start = len(runs)
         # a level is ordered by its decoded scaled steps, as ids always were
-        for key in sorted(pending, key=lambda p: tuple(map(run, p[::2], p[1::2]))):
-            ids[key] = len(runs)
-            runs.append(key)
+        level = sorted(pending, key=lambda p: tuple(map(run, p[::2], p[1::2])))
+        expected = [pending[key] for key in level]
+        for b, key in enumerate(level, start):
+            pending[key] = b  # the next level's path -> id map
+        runs += level
         if len(runs) > max_elements:
             raise ResourceCapError(f"crystal generation passed {max_elements} elements")
         for column in children:
-            column.extend(array("i", [-1]) * len(pending))
+            column.extend(array("i", [-1]) * len(level))
         for b, i0, key in hits:
-            children[i0][b] = ids[key]
+            children[i0][b] = pending[key]
     return CrystalGraph(datum, lam, denom, orbit, runs, weight_of, eps_of, phi_of, children)
 
 

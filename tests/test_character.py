@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qcrystal import cli
 from qcrystal.character import (FormalCharacter, apply_demazure_word, char_of,
                                 demazure_characters, demazure_operator,
                                 verify_demazure_character, weyl_character,
@@ -189,6 +190,37 @@ def test_demazure_characters_refuse_a_non_dominant_weight():
     for lam in ((1, -1), (-1, 0), (-2, -3)):
         with pytest.raises(ValueError, match="dominant weight"):
             demazure_characters(A2, lam)
+
+
+def _key_objects(characters):
+    """weight -> the set of ids of the tuple objects that key it in the characters."""
+    objects = {}
+    for chi in characters:
+        for w in chi._terms:
+            objects.setdefault(w, set()).add(id(w))
+    return objects
+
+
+def test_character_walk_keeps_one_tuple_per_weight():
+    # every D_w(e^lambda) of the walk keys a weight by the same tuple object
+    chars = demazure_characters(cartan_datum("D4"), (1, 1, 1, 1))
+    assert len(chars) == 192
+    objects = _key_objects(chars.values())
+    assert len(objects) == 601
+    assert all(len(ids) == 1 for ids in objects.values())
+
+
+def test_verify_character_walk_keeps_one_tuple_per_weight(monkeypatch):
+    made = []
+
+    def keep(*args):
+        made.append(demazure_operator(*args))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "demazure_operator", keep)
+    rows, ok = cli.run_verify(cli.parse_args(["verify", "--type", "B3", "--weight", "1,1,1"]))
+    assert ok and len(made) == 47
+    assert all(len(ids) == 1 for ids in _key_objects(made).values())
 
 
 def test_character_total_equals_dimension():

@@ -12,6 +12,7 @@ from qcrystal import cli, crystal
 from qcrystal.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                           EXIT_VERIFY_FAILED, EXIT_WRITE, emit_dot, emit_json,
                           main, parse_args)
+from qcrystal.root_data import _Orbit, cartan_datum
 
 
 def run_cli(*args, env_extra=None):
@@ -296,6 +297,28 @@ def test_path_kernel_error_exits_1(tmp_path, capsys, monkeypatch):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("qcrystal: "), lines
     assert "grid" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["crystal", "verify"])
+def test_lowering_back_to_the_top_exits_1(command, tmp_path, capsys, monkeypatch):
+    # A lowering mutant that sends f_1 of any path with more than one run back
+    # to the top path (0, D): its weight is not the parent's minus alpha_1, so
+    # generation stops at once rather than export a broken graph, loop in
+    # i_strings or regrow the crystal level after level up to the cap.
+    first_pair = _Orbit(cartan_datum("A2"), (2, 1)).pair[0]
+    lower = crystal._lower_runs
+
+    def to_top(pair, refl, denom, path, h, m):
+        if pair == first_pair and len(path) > 2:
+            return (0, denom)
+        return lower(pair, refl, denom, path, h, m)
+
+    monkeypatch.setattr(crystal, "_lower_runs", to_top)
+    out = tmp_path / "out"
+    assert main([command, "--type", "A2", "--weight", "2,1", "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "left its level" in lines[0], lines
     assert not out.exists()
 
 

@@ -158,8 +158,28 @@ def test_rank_one_e_line_prints_its_own_image(monkeypatch):
     assert "  e . f^(4)v = [4] f^(3)v = (q^3 + q + q^-1 + q^-3) f^(3)v" not in lines
 
 
+@pytest.mark.parametrize("lam", [0, 1, 2, 7, 40, 200])
+def test_streamed_rank_one_table_matches_reference(lam):
+    chunks = []
+    assert emit_rank_one(lam, chunks.append) is None
+    assert b"".join(chunks) == reference_rank_one(lam)
+
+
+def test_rank_one_table_streams_in_less_than_its_length():
+    # The sl2 check runs first; then each line is written as it is made and
+    # only the e-line texts are held, so the traced peak stays below the
+    # output's length.  Building the whole table first took it to 3 times that.
+    emit_rank_one(10)
+    size = len(emit_rank_one(400))
+    chunks = []
+    peak = _traced_peak(lambda: emit_rank_one(400, lambda chunk: chunks.append(len(chunk))))
+    assert sum(chunks) == size
+    assert peak < size, peak / size
+    assert len(chunks) > 10 and max(chunks) < cli._CHUNK_CHARS + 4096
+
+
 def test_rank_one_table_peak_memory_is_about_three_outputs():
-    # The lines, their join and its encoding hold the output three times
+    # Returned whole, the table is held as its chunks and their join, twice
     # over; nothing else of that size (such as a memo of rendered
     # coefficients keyed by polynomial) may stay alive during the job.
     emit_rank_one(10)
