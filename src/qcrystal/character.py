@@ -18,11 +18,12 @@ consequence of the underlying vanishing theory, not a proof of it.
 import itertools
 from collections import Counter
 
-from .demazure import demazure_crystal
-from .root_data import (_check_length, _check_rank, _coroots, _coset_words,
-                        _element, _Orbit, _orbit_walk, dominant_representative,
-                        is_dominant, positive_roots, root_coords,
-                        root_weight_coords, simple_root, weyl_group, weyl_orbit)
+from .demazure import _gather, demazure_crystal
+from .root_data import (_check_index, _check_length, _check_rank, _coroots,
+                        _coset_words, _element, _Orbit, _orbit_walk,
+                        dominant_representative, is_dominant, positive_roots,
+                        root_coords, root_weight_coords, simple_root,
+                        weyl_group, weyl_orbit)
 from .sparse import SparseMap
 
 
@@ -63,9 +64,35 @@ class FormalCharacter(SparseMap):
         return "\n".join(lines)
 
 
-def char_of(members, graph):
-    """Character of a subset of crystal elements, aggregated by weight (counted in C)."""
-    return FormalCharacter._new(dict(Counter(map(graph.weight, members))))
+def char_of(members, graph, gather=None):
+    """Character of a collection of crystal element ids, aggregated by weight.
+
+    The weights are read and counted in C, through ``gather``, the
+    ``demazure._gather(members)`` a caller already holding one hands in,
+    else built here.  Raises IndexError for an id outside 0..len(graph) - 1.
+    """
+    if members:  # a negative id would read from the end of the column
+        low, high = min(members), max(members)
+        if low < 0 or high >= len(graph):
+            bad = low if low < 0 else high
+            raise IndexError(f"element id {bad} out of range 0..{len(graph) - 1}")
+    gather = _gather(members) if gather is None else gather
+    return FormalCharacter._new(dict(Counter(gather(graph.weight_of))))
+
+
+def _expansion(datum, i, mu, shared):
+    """(sign, weights) with D_i(e^mu) = sign * sum of e^w over the weights, each from ``shared``."""
+    _check_length(datum, mu)
+    alpha, m = simple_root(datum, i), mu[i - 1]
+    if m >= 0:  # mu + k alpha_i for k = 0, -1, ..., -m
+        sign, ks = 1, range(0, -m - 1, -1)
+    else:  # -(mu + k alpha_i) for k = 1, ..., -m - 1; none when m == -1
+        sign, ks = -1, range(1, -m)
+    weights = []
+    for k in ks:
+        w = tuple(x + k * a for x, a in zip(mu, alpha))
+        weights.append(shared.setdefault(w, w))
+    return sign, tuple(weights)
 
 
 def demazure_operator(datum, i, chi, shared=None):
@@ -78,36 +105,37 @@ def demazure_operator(datum, i, chi, shared=None):
     extended linearly.  This is (e^mu - e^(s_i mu - alpha_i)) / (1 - e^(-alpha_i))
     with the geometric series summed exactly.
 
-    ``shared``, a dict kept across the calls of one walk, maps each weight
-    to its one tuple object, so that the characters alive together hold
-    one key object per distinct weight.
+    ``shared``, a dict kept across the calls of one walk, is its memo.  It
+    maps each weight to its one tuple object, so that the characters alive
+    together hold one key object per distinct weight, and each index i to
+    the expansions {mu: (sign, weights)} of D_i(e^mu) met so far; a term
+    c e^mu then adds sign * c over the cached weights.
     """
-    alpha, rank = simple_root(datum, i), datum.rank
     shared = {} if shared is None else shared
+    memo = shared.get(i)
+    if memo is None:
+        _check_index(datum, i)
+        memo = shared[i] = {}
     out: dict[tuple[int, ...], int] = {}
+    get = out.get
     for mu, c in chi._terms.items():
-        if len(mu) != rank:  # one comparison per term; the check raises
-            _check_length(datum, mu)
-        m = mu[i - 1]
-        if m >= 0:
-            for k in range(m + 1):
-                w = tuple(x - k * a for x, a in zip(mu, alpha))
-                w = shared.setdefault(w, w)
-                out[w] = out.get(w, 0) + c
-        elif m <= -2:
-            for k in range(1, -m):
-                w = tuple(x + k * a for x, a in zip(mu, alpha))
-                w = shared.setdefault(w, w)
-                out[w] = out.get(w, 0) - c
+        hit = memo.get(mu)
+        if hit is None:
+            hit = memo[mu] = _expansion(datum, i, mu, shared)
+        sign, weights = hit
+        c *= sign
+        for w in weights:
+            out[w] = get(w, 0) + c
     return FormalCharacter._new(out)
 
 
 def apply_demazure_word(datum, word, chi):
-    """Compose D_{i_1} ... D_{i_n}, the rightmost letter acting first."""
+    """Compose D_{i_1} ... D_{i_n}, the rightmost letter acting first, through one memo."""
     for mu in chi._terms:
         _check_rank(datum, mu)
+    shared = {}
     for i in reversed(word):
-        chi = demazure_operator(datum, i, chi)
+        chi = demazure_operator(datum, i, chi, shared)
     return chi
 
 

@@ -277,16 +277,18 @@ def _rank_one_pieces(m, ok):
     yield f"sl2 relation (ef - fe = [lambda - 2k]): {'ok' if ok else 'VIOLATED'}\n"
 
 
-def emit_rank_one(lam, write=None):
+def emit_rank_one(lam, write=None, ok=None):
     """The rank-one table of V(lambda): the f, e and K actions, the chain, the sl2 check.
 
-    The sl2 relation is checked before the first byte is written.  Lines
-    are formatted one at a time; only the e-line coefficient texts, printed
-    after every f-line, are held.  Bytes go to ``write`` in chunks, or are
-    returned whole when it is None.
+    ``ok`` is the verdict of ``verify_sl2_relation`` on V(lambda); when it
+    is None the relation is checked here, before the first byte is written.
+    Lines are formatted one at a time; only the e-line coefficient texts,
+    printed after every f-line, are held.  Bytes go to ``write`` in chunks,
+    or are returned whole when it is None.
     """
     m = RankOneModule(lam)
-    ok, _ = verify_sl2_relation(m)
+    if ok is None:
+        ok, _ = verify_sl2_relation(m)
     return _emit(_rank_one_pieces(m, ok), write)
 
 
@@ -320,6 +322,12 @@ def run_verify(job):
     f_tilde_j closed where s_j fixes w(lambda), for the left descents of the
     longer words with that point.  ``--inject-failure`` corrupts B_{w0} at
     the last point, named by w0's word, for the string and filtration checks.
+    Each B_w's child, parent and weight entries are read through one
+    ``demazure._gather``, and the character walk keeps one memo of D_i
+    expansions.  i-edges that ``i_strings`` refuses as a partition fail the
+    string and filtration rows with its message, and a walk that raises fails
+    every row it feeds that has not failed yet with its own; the other rows
+    still run.
     """
     datum = cartan_datum(job.type_name)
     indices = datum.indices()
@@ -330,31 +338,45 @@ def run_verify(job):
     normal = verify_normal(graph)
     start = _phase("normal-crystal-relations", start)
 
-    for i in indices:
-        demazure.i_strings(graph, i)  # raises unless the i-edges partition the crystal
+    broken = None  # the first refusal of i_strings: the string rule needs a partition
+    try:
+        for i in indices:
+            demazure.i_strings(graph, i)
+    except RuntimeError as exc:
+        broken = str(exc)
     words, order = _coset_words(graph.orbit)  # order[-1] is w0(lambda)
-    strings = filtration = independence = characters = None
+    strings = filtration = broken
+    independence = characters = walk_error = None
     lam = graph.highest_weight
-    peak, shared = 0, {lam: lam}  # one tuple object per weight across the character walk
+    peak, shared = 0, {lam: lam}  # the memo of the character walk's D_i expansions
     walk = zip(demazure._subset_levels(graph, words, order),
                _orbit_walk(graph.orbit, words, order, FormalCharacter.monomial(lam),
                            lambda i, chi: demazure_operator(datum, i, chi, shared)))
-    for (o, w, members, disagreement, live), (_, _, chi, _) in walk:
-        peak = max(peak, live)
-        dc = DemazureCrystal(graph, w, members)
-        if job.inject_failure and o == order[-1]:
-            w, dc = longest_word(datum), _corrupt(dc)
-            log.info("injected a corrupted subset for %s", w)
-        for i in indices:
-            (good, wit), (layered, layer_wit) = demazure._string_rule(graph, dc.members, i)
-            if strings is None and not good:
-                strings = (w, wit)
-            if filtration is None and not layered:
-                filtration = (w, layer_wit)
-        if independence is None and disagreement is not None:
-            independence = (w, disagreement)
-        if characters is None and char_of(members, graph) != chi:
-            characters = (w, "character mismatch")
+    try:
+        for (o, w, members, disagreement, live), (_, _, chi, _) in walk:
+            peak = max(peak, live)
+            gather = demazure._gather(members)  # one C-level gather per B_w
+            if broken is None:
+                checked, checked_gather = members, gather
+                if job.inject_failure and o == order[-1]:
+                    w = longest_word(datum)
+                    checked = _corrupt(DemazureCrystal(graph, w, members)).members
+                    checked_gather = demazure._gather(checked)
+                    log.info("injected a corrupted subset for %s", w)
+                for i in indices:
+                    string, layers = demazure._string_rule(graph, checked, i, checked_gather)
+                    if strings is None and not string[0]:
+                        strings = (w, string[1])
+                    if filtration is None and not layers[0]:
+                        filtration = (w, layers[1])
+            if independence is None and disagreement is not None:
+                independence = (w, disagreement)
+            if characters is None and char_of(members, graph, gather) != chi:
+                characters = (w, "character mismatch")
+    except RuntimeError as exc:  # a walk over broken i-edges
+        walk_error = str(exc)  # fails each row it feeds that has not failed yet
+        strings, filtration = strings or walk_error, filtration or walk_error
+        independence, characters = independence or walk_error, characters or walk_error
     start = _phase("orbit walk", start, f", peak {peak} live member slots")
 
     rows = [("normal-crystal-relations", *normal),
@@ -366,8 +388,9 @@ def run_verify(job):
 
     freudenthal = weyl_character(datum, job.weight)
     crystal_char = char_of(graph.all_ids(), graph)
-    ok = crystal_char == freudenthal == chi  # the walk's last, D_{w0}(e^lambda)
-    rows.append(("weyl-character-agreement", ok, None if ok else "character mismatch"))
+    ok = walk_error is None and crystal_char == freudenthal == chi  # chi is D_{w0}(e^lambda)
+    rows.append(("weyl-character-agreement", ok,
+                 None if ok else walk_error or "character mismatch"))
     start = _phase("weyl-character-agreement", start)
 
     dim = weyl_dimension(datum, job.weight)
@@ -440,14 +463,18 @@ def _run(job):
 
     Everything that can fail runs here, before any output is opened;
     ``produce(write)`` then hands the output bytes to ``write``.  The
-    streamed emitters, ``emit_rank_one`` among them, run inside ``produce``.
+    streamed emitters, ``emit_rank_one`` among them, run inside ``produce``;
+    the sl2 check runs once, here, and a violated relation exits 1 after its
+    table is written, as a failed ``verify`` does after its report.
     """
     if job.command == "rank-one":
         lam = job.weight[0]
         if lam + 1 > job.max_elements:
             raise ResourceCapError(f"V({lam}) has {lam + 1} basis elements, "
                                    f"above the cap of {job.max_elements}")
-        return EXIT_OK, functools.partial(emit_rank_one, lam)
+        ok, _ = verify_sl2_relation(RankOneModule(lam))
+        code = EXIT_OK if ok else EXIT_VERIFY_FAILED
+        return code, functools.partial(emit_rank_one, lam, ok=ok)
     if job.command == "verify":
         rows, ok = run_verify(job)
         data = _verify_output(job, rows, ok)

@@ -30,6 +30,7 @@ filtration verdicts of a subset off the columns (``verify_strings``), and
 saturation and string walks read the child columns directly.
 """
 
+import operator
 from array import array
 from dataclasses import dataclass
 
@@ -231,7 +232,23 @@ def i_strings(graph, i):
     return strings
 
 
-def _string_rule(graph, members, i):
+def _gather(members):
+    """A function reading the entries of ``members`` from a column as one tuple, in C.
+
+    ``operator.itemgetter(*members)``, except that one member still gives
+    a 1-tuple and no member an empty one.  One gather serves every column
+    a subset is checked on: the child and parent columns of each index
+    (``_string_rule``) and the weights (``character.char_of``).
+    """
+    if len(members) > 1:
+        return operator.itemgetter(*members)
+    if members:
+        (b,) = members
+        return lambda column: (column[b],)
+    return lambda column: ()
+
+
+def _string_rule(graph, members, i, gather):
     """(string verdict, filtration verdict) of the subset ``members`` for index i.
 
     The strings are read off the i-th child and parent columns, which needs
@@ -240,14 +257,16 @@ def _string_rule(graph, members, i):
     breaks a string where a member's parent lies outside it, or where a
     member below the top has its child outside it.  The filtration also
     fails on a string met at its top alone unless that top is dominant.
-    Each witness comes from the smallest failing top.
+    Each witness comes from the smallest failing top.  ``gather``,
+    ``_gather(members)``, reads the members' children and parents in C; a
+    caller checking one subset on every index builds it once.
     """
     i0 = i - 1
     down, up = graph.children[i0], graph.parents[i0]
-    below = set(map(down.__getitem__, members)).difference(members, (-1,))
+    below = set(gather(down)).difference(members, (-1,))
     heads = set(map(up.__getitem__, below))  # members whose child lies outside
     # on broken strings: parents outside, and members below a top with a child outside
-    broken = set(map(up.__getitem__, members)).difference(members, (-1,))
+    broken = set(gather(up)).difference(members, (-1,))
     broken.update(b for b in heads if up[b] >= 0)
     tops = set()
     for b in broken:
@@ -278,7 +297,7 @@ def verify_strings(dc, i):
     Raises the RuntimeError of ``i_strings`` when the i-edges are not a partition.
     """
     i_strings(dc.graph, i)
-    return _string_rule(dc.graph, dc.members, i)
+    return _string_rule(dc.graph, dc.members, i, _gather(dc.members))
 
 
 def verify_string_property(dc, i):

@@ -8,8 +8,10 @@ character held at once, and each string check counting partial strings on
 its own.  The code below is that version, unchanged except that it reads
 the path kernel from ``qcrystal.crystal`` and keeps the ``CrystalElement``
 record here, since the library graph has none; ``records`` reads them off
-a columnar graph.  ``test_dict_graph_reference.py`` diffs the library
-against it.  Do not import it from ``src/``.
+a columnar graph.  ``char_of`` is kept here too, in its form that called
+``graph.weight`` per member, since the library's reads a weight column.
+``test_dict_graph_reference.py`` diffs the library against it.  Do not
+import it from ``src/``.
 """
 
 import logging
@@ -17,8 +19,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 
-from qcrystal.character import (FormalCharacter, char_of, demazure_operator,
-                                weyl_character, weyl_dimension)
+from qcrystal.character import (FormalCharacter, demazure_operator, weyl_character,
+                                weyl_dimension)
 from qcrystal.crystal import (DEFAULT_MAX_ELEMENTS, ResourceCapError,
                               _denominator, _from_grid, _lower, _lower_runs,
                               _Orbit, _reversed_runs, _run_heights,
@@ -43,6 +45,11 @@ class CrystalElement:
     @property
     def steps(self):
         return self.orbit.steps(self.runs)
+
+
+def char_of(members, graph):
+    """Character of a subset of crystal elements, one ``graph.weight`` call per member."""
+    return FormalCharacter(Counter(map(graph.weight, members)))
 
 
 def records(graph):

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from qcrystal import cli, crystal
+from conftest import tampered
+from qcrystal import cli, crystal, rank_one
 from qcrystal.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                           EXIT_VERIFY_FAILED, EXIT_WRITE, emit_dot, emit_json,
                           main, parse_args)
@@ -278,6 +279,44 @@ def test_rank_one_bytes_pinned(tmp_path):
         out = tmp_path / f"rank-one-{lam}.txt"
         assert main(["rank-one", "--weight", str(lam), "--out", str(out)]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, lam
+
+
+def test_rank_one_checks_once_and_exits_1_when_violated(tmp_path, monkeypatch):
+    # a doubled e action breaks ef - fe = [lambda - 2k]: the table is still
+    # written, ending VIOLATED, and the exit code is 1, as a failed verify's
+    checked = []
+
+    def counted(m):
+        checked.append(m.lam)
+        return rank_one.verify_sl2_relation(m)
+
+    monkeypatch.setattr(cli, "verify_sl2_relation", counted)
+    out = tmp_path / "rank-one.txt"
+    assert main(["rank-one", "--weight", "3", "--out", str(out)]) == EXIT_OK
+    assert out.read_text().splitlines()[-1].endswith(": ok") and checked == [3]
+    act_e = rank_one.act_e
+    monkeypatch.setattr(rank_one, "act_e", lambda m, v: {k: c + c for k, c in act_e(m, v).items()})
+    assert main(["rank-one", "--weight", "3", "--out", str(out)]) == EXIT_VERIFY_FAILED
+    lines = out.read_text().splitlines()
+    assert lines[-1] == "sl2 relation (ef - fe = [lambda - 2k]): VIOLATED"
+    assert "  e . f^(1)v = [3] f^(0)v = (q^2 + 1 + q^-2) f^(0)v" in lines  # cli's act_e
+    assert checked == [3, 3]
+
+
+def test_verify_on_broken_i_edges_fails_its_rows_without_a_traceback(graph_of, monkeypatch,
+                                                                     capsys):
+    # a 1-edge from 5 back to 3 closes a cycle: i_strings and the walk's
+    # saturation both refuse it, and every row they feed fails with the message
+    graph = graph_of("A2", (1, 1))
+    monkeypatch.setattr(cli, "generate_crystal",
+                        lambda *a, **k: tampered(graph, graph.edges | {(5, 1): 3}))
+    assert main(["verify", "--type", "A2", "--weight", "1,1"]) == EXIT_VERIFY_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    cycle = ("FAIL  witness: the 1-string below element 2 does not end within 8 steps: "
+             "the 1-edges contain a cycle")
+    assert len(lines) == 9 and lines[-1] == "result: FAIL"
+    assert [line.endswith(cycle) for line in lines[1:-1]] == [False] + [True] * 5 + [False]
+    assert lines[-2].endswith("PASS")  # weyl-dimension-agreement reads no edge
 
 
 def test_resource_cap_exit_code():

@@ -103,8 +103,9 @@ def run_verify(job):
         if job.inject_failure and w == top_word:
             dc = _corrupt(dc)
             log.info("injected a corrupted subset for %s", w)
+        gather = demazure._gather(dc.members)
         for i in indices:
-            (good, wit), (layered, layer_wit) = demazure._string_rule(graph, dc.members, i)
+            (good, wit), (layered, layer_wit) = demazure._string_rule(graph, dc.members, i, gather)
             if strings is None and not good:
                 strings = (w, wit)
             if filtration is None and not layered:
