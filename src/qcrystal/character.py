@@ -71,6 +71,8 @@ def char_of(members, graph, gather=None):
     ``demazure._gather(members)`` a caller already holding one hands in,
     else built here.  Raises IndexError for an id outside 0..len(graph) - 1.
     """
+    if members == graph.all_ids():  # the whole column, counted as it stands
+        return FormalCharacter._new(dict(Counter(graph.weight_of)))
     if members:  # a negative id would read from the end of the column
         low, high = min(members), max(members)
         if low < 0 or high >= len(graph):

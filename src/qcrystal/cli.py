@@ -296,12 +296,11 @@ def emit_rank_one(lam, write=None, ok=None):
 
 
 def _corrupt(dc):
-    """Drop the bottom of the first i-string inside the subset; what is left may still pass."""
-    for i in dc.graph.indices():
-        for s in demazure.i_strings(dc.graph, i):
-            if s.length >= 1 and set(s.members) <= dc.members:
-                members = dc.members - {s.members[-1]}
-                return DemazureCrystal(dc.graph, dc.word, frozenset(members))
+    """Drop the top of the first i-string (lowest i, then top) met in its top and child."""
+    for i0, column in enumerate(dc.graph.children):
+        for b, (child, eps) in enumerate(zip(column, dc.graph.eps_of)):
+            if eps[i0] == 0 and child in dc.members and b in dc.members:
+                return DemazureCrystal(dc.graph, dc.word, dc.members - {b})
     raise RuntimeError("no string long enough to corrupt")
 
 
@@ -324,10 +323,10 @@ def run_verify(job):
     the last point, named by w0's word, for the string and filtration checks.
     Each B_w's child, parent and weight entries are read through one
     ``demazure._gather``, and the character walk keeps one memo of D_i
-    expansions.  i-edges that ``i_strings`` refuses as a partition fail the
-    string and filtration rows with its message, and a walk that raises fails
-    every row it feeds that has not failed yet with its own; the other rows
-    still run.
+    expansions.  i-edges that ``demazure._partition_error`` refuses as a
+    partition fail the string and filtration rows with its message, and a walk
+    that raises fails every row it feeds that has not failed yet with its own;
+    the other rows still run.
     """
     datum = cartan_datum(job.type_name)
     indices = datum.indices()
@@ -338,12 +337,7 @@ def run_verify(job):
     normal = verify_normal(graph)
     start = _phase("normal-crystal-relations", start)
 
-    broken = None  # the first refusal of i_strings: the string rule needs a partition
-    try:
-        for i in indices:
-            demazure.i_strings(graph, i)
-    except RuntimeError as exc:
-        broken = str(exc)
+    broken = next(filter(None, (demazure._partition_error(graph, i) for i in indices)), None)
     words, order = _coset_words(graph.orbit)  # order[-1] is w0(lambda)
     strings = filtration = broken
     independence = characters = walk_error = None

@@ -24,10 +24,10 @@ The walk keeps two length levels of subsets alive, as int arrays; ``verify``
 checks each B_w as it is built, and ``demazure_subsets`` keeps them all.
 
 An i-string is stored once, in the graph's i-th child and parent
-columns; ``i_strings`` lists the strings and checks that the i-edges
-partition the crystal.  Once they do, one local rule reads the string and
-filtration verdicts of a subset off the columns (``verify_strings``), and
-saturation and string walks read the child columns directly.
+columns; ``_partition_error`` decides whether the i-edges partition the
+crystal.  Once they do, one local rule reads the string and filtration
+verdicts of a subset off the columns (``verify_strings``), and saturation
+and string walks read the child columns directly.
 """
 
 import operator
@@ -52,8 +52,8 @@ class DemazureCrystal:
 
 
 def _endless_string(graph, b, i):
-    return RuntimeError(f"the {i}-string below element {b} does not end within "
-                        f"{len(graph)} steps: the {i}-edges contain a cycle")
+    return (f"the {i}-string below element {b} does not end within "
+            f"{len(graph)} steps: the {i}-edges contain a cycle")
 
 
 def _saturate(graph, members, i):
@@ -70,7 +70,7 @@ def _saturate(graph, members, i):
         while child >= 0:
             steps += 1
             if steps > limit:
-                raise _endless_string(graph, b, i)
+                raise RuntimeError(_endless_string(graph, b, i))
             out.add(child)
             child = column[child]
     return out
@@ -97,16 +97,11 @@ def _subset_levels(graph, words, order):
     j, b)`` for the first j where it does not, b the least id in one set
     only, else None.  ``live`` counts the members of the walk's two levels.
     """
-    refl, first = graph.orbit.refl, frozenset({0})
-
-    def grow(i, prev):
-        nonlocal first  # the set the array is made from, for the comparisons
-        first = frozenset(_saturate(graph, prev, i))
-        return array("i", first)
-
-    live = {}  # member count per length
+    refl, live = graph.orbit.refl, {}  # member count per length
+    grow = lambda i, prev: array("i", _saturate(graph, prev, i))
     for o, w, members, below in _orbit_walk(graph.orbit, words, order, array("i", [0]), grow):
         live[len(w)] = live.get(len(w), 0) + len(members)
+        first = frozenset(members)
         disagreement = None
         for j, row in enumerate(refl, 1):
             if o and j != w[0] and row[o] <= o:  # another left descent, or s_j fixes the point
@@ -198,37 +193,46 @@ class IString:
         return len(self.members) - 1
 
 
-def i_strings(graph, i):
-    """Partition of the crystal into i-strings, in order of their tops.
+def _partition_error(graph, i):
+    """None when the i-edges partition the crystal into strings, else why not.
 
-    Raises RuntimeError when the strings' lengths do not add up to the size
-    of the crystal, when an element lies in two strings, or when a string
-    walk finds a cycle: then the i-edges are not those of a normal crystal.
+    One pass down the i-th child column from each top (eps_i = 0) marks what it
+    meets; it reports an endless walk first, then the cover count, then overlap.
     """
     _check_index(graph.datum, i)
-    strings, limit = [], len(graph)
-    i0, column = i - 1, graph.children[i - 1]
+    limit, i0, column = len(graph), i - 1, graph.children[i - 1]
+    seen, covered, twice = bytearray(limit), 0, None
+    for top in (b for b, eps in enumerate(graph.eps_of) if eps[i0] == 0):
+        b, steps = top, 0  # steps taken to reach b
+        while b >= 0:
+            if steps > limit:
+                return _endless_string(graph, top, i)
+            if seen[b] and twice is None:
+                twice = b
+            seen[b] = 1
+            b, steps = column[b], steps + 1
+        covered += steps
+    if covered != limit:
+        reason = f"the {i}-strings cover {covered} element slots of {limit}"
+    elif twice is not None:
+        reason = f"element {twice} lies in two {i}-strings"
+    else:
+        return None
+    return f"{reason}: the {i}-edges do not form a normal crystal"
+
+
+def i_strings(graph, i):
+    """The i-strings, in order of their tops; RuntimeError unless ``_partition_error`` passes."""
+    error = _partition_error(graph, i)
+    if error:
+        raise RuntimeError(error)
+    strings, column = [], graph.children[i - 1]
     for b, eps in enumerate(graph.eps_of):
-        if eps[i0] != 0:
-            continue
-        chain = [b]
-        child = column[b]
-        while child >= 0:
-            if len(chain) > limit:
-                raise _endless_string(graph, b, i)
-            chain.append(child)
-            child = column[child]
-        strings.append(IString(i=i, top=b, members=tuple(chain)))
-    covered = sum(len(s.members) for s in strings)
-    if covered != len(graph):
-        raise RuntimeError(f"the {i}-strings cover {covered} element slots of "
-                           f"{len(graph)}: the {i}-edges do not form a normal crystal")
-    seen = set()
-    for b in (m for s in strings for m in s.members):
-        if b in seen:
-            raise RuntimeError(f"element {b} lies in two {i}-strings: "
-                               f"the {i}-edges do not form a normal crystal")
-        seen.add(b)
+        if eps[i - 1] == 0:
+            chain = [b]
+            while column[chain[-1]] >= 0:
+                chain.append(column[chain[-1]])
+            strings.append(IString(i=i, top=b, members=tuple(chain)))
     return strings
 
 
@@ -252,7 +256,7 @@ def _string_rule(graph, members, i, gather):
     """(string verdict, filtration verdict) of the subset ``members`` for index i.
 
     The strings are read off the i-th child and parent columns, which needs
-    ``i_strings(graph, i)`` to have accepted the i-edges as a partition:
+    ``_partition_error(graph, i)`` to have accepted the i-edges as a partition:
     then a string's top is its one element with no parent.  The subset
     breaks a string where a member's parent lies outside it, or where a
     member below the top has its child outside it.  The filtration also
@@ -276,10 +280,7 @@ def _string_rule(graph, members, i, gather):
     string = filtration = True, None
     if tops:
         top = min(tops)
-        chain = [top]
-        while down[chain[-1]] >= 0:
-            chain.append(down[chain[-1]])
-        hit = tuple(sorted(members.intersection(chain)))
+        hit = tuple(sorted(members.intersection(_saturate(graph, (top,), i))))
         string = False, (i, top, hit)
         filtration = False, (("bad singleton layer", i, *hit) if len(hit) == 1
                              else ("layer is a partial string", i, top, hit))
@@ -294,9 +295,11 @@ def _string_rule(graph, members, i, gather):
 def verify_strings(dc, i):
     """(verify_string_property(dc, i), verify_filtration_structure(dc, i)) by one rule.
 
-    Raises the RuntimeError of ``i_strings`` when the i-edges are not a partition.
+    Raises RuntimeError with ``_partition_error``'s message on a non-partition.
     """
-    i_strings(dc.graph, i)
+    error = _partition_error(dc.graph, i)
+    if error:
+        raise RuntimeError(error)
     return _string_rule(dc.graph, dc.members, i, _gather(dc.members))
 
 

@@ -346,12 +346,15 @@ def demazure_characters(datum, lam):
 
 
 def _corrupt(dc):
-    """Drop a mid-string member so the string property must fail."""
+    """Drop the top of the first i-string (lowest i, then top) met in its top and child.
+
+    The string then meets the subset below its top alone, so the string
+    property must fail.
+    """
     for i in dc.graph.indices():
         for s in string_index(dc.graph, i)[0]:
-            if s.length >= 1 and set(s.members) <= dc.members:
-                members = dc.members - {s.members[-1]}
-                return DemazureCrystal(dc.graph, dc.word, frozenset(members))
+            if s.length >= 1 and s.top in dc.members and s.members[1] in dc.members:
+                return DemazureCrystal(dc.graph, dc.word, dc.members - {s.top})
     raise RuntimeError("no string long enough to corrupt")
 
 

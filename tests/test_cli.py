@@ -192,6 +192,19 @@ def test_verify_exit_codes():
     assert b"string-property" in bad.stdout and b"witness" in bad.stdout
 
 
+@pytest.mark.parametrize("type_name, weight, top", [
+    ("A1", "1", 0), ("A2", "0,1", 1), ("A3", "0,0,1", 2), ("A4", "0,0,0,1", 3)])
+def test_inject_failure_fails_on_minuscule_weights(type_name, weight, top):
+    # dropping the bottom of a string of these B(lambda) leaves a Demazure
+    # subset; dropping the top of a string never leaves one.  The dropped top
+    # is that of the first 1-string with a child: element 0 has none unless
+    # lambda_1 > 0, and the witness is the rest of its string.
+    bad = run_cli("verify", "--type", type_name, "--weight", weight, "--inject-failure")
+    assert bad.returncode == EXIT_VERIFY_FAILED
+    assert b"string-property" in bad.stdout and b"result: FAIL" in bad.stdout
+    assert f"(1, {top}, ({top + 1},)))".encode() in bad.stdout
+
+
 def test_inject_failure_at_zero_weight_is_a_usage_error():
     # B(0) has no i-string to corrupt: refused up front, without a traceback
     for type_name, weight in (("A1", "0"), ("B2", "0,0")):

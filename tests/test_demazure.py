@@ -4,7 +4,7 @@ import pytest
 
 from conftest import tampered
 from qcrystal.crystal import CrystalGraph
-from qcrystal.demazure import (demazure_crystal, demazure_subsets,
+from qcrystal.demazure import (_partition_error, demazure_crystal, demazure_subsets,
                                extremal_element, extremal_weights,
                                filtration_layers, i_strings, quotient_strings,
                                reduced_word_independence,
@@ -149,8 +149,14 @@ def test_cyclic_i_edges_raise(graph_of):
                 demazure_subsets):
         with pytest.raises(RuntimeError, match="element 2 does not end within 8 steps"):
             run(tampered(graph, edges, cls=_CountedGraph))
+    # _partition_error returns the message that i_strings raises
+    with pytest.raises(RuntimeError) as raised:
+        i_strings(tampered(graph, edges, cls=_CountedGraph), 1)
+    assert _partition_error(tampered(graph, edges, cls=_CountedGraph), 1) == str(raised.value)
     # the 2-edges are untouched
     assert len(i_strings(tampered(graph, edges, cls=_CountedGraph), 2)) == 4
+    assert _partition_error(tampered(graph, edges, cls=_CountedGraph), 2) is None
+    assert [_partition_error(graph, i) for i in graph.indices()] == [None, None]
 
 
 def test_string_property_cases(graph_of):

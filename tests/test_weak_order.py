@@ -18,7 +18,7 @@ from conftest import tampered
 from qcrystal import cli
 from qcrystal.character import (FormalCharacter, apply_demazure_word,
                                 demazure_characters)
-from qcrystal.demazure import (demazure_crystal, demazure_subsets, i_strings,
+from qcrystal.demazure import (_partition_error, demazure_crystal, demazure_subsets, i_strings,
                                reduced_word_independence,
                                verify_filtration_structure,
                                verify_string_property, verify_strings)
@@ -122,15 +122,28 @@ def test_string_checks_match_intersection_loops(name, lam, graph_of):
 
 
 def test_verify_builds_each_string_partition_once(monkeypatch, capsys):
-    calls = []
+    calls, listed = [], []
 
     def counted(graph, i):
         calls.append(i)
-        return i_strings(graph, i)
+        return _partition_error(graph, i)
 
-    monkeypatch.setattr(demazure_module, "i_strings", counted)
+    monkeypatch.setattr(demazure_module, "_partition_error", counted)
+    monkeypatch.setattr(demazure_module, "i_strings", lambda graph, i: listed.append(i))
     assert cli.main(["verify", "--type", "D4", "--weight", "1,0,0,0"]) == cli.EXIT_OK
-    assert sorted(calls) == [1, 2, 3, 4]
+    assert sorted(calls) == [1, 2, 3, 4] and listed == []
+
+
+def test_verify_builds_no_string_objects(monkeypatch, capsys):
+    def refused(*args, **kwargs):
+        raise AssertionError("verify built an IString")
+
+    monkeypatch.setattr(demazure_module, "IString", refused)
+    assert cli.main(["verify", "--type", "D4", "--weight", "1,1,1,1"]) == cli.EXIT_OK
+    assert "result: PASS" in capsys.readouterr().out
+    argv = ["verify", "--type", "D4", "--weight", "1,1,1,1", "--inject-failure"]
+    assert cli.main(argv) == cli.EXIT_VERIFY_FAILED
+    assert "result: FAIL" in capsys.readouterr().out
 
 
 def test_verify_logs_no_sampling_warnings(caplog, capsys):
@@ -159,9 +172,12 @@ def test_i_strings_rejects_tampered_edges(graph_of):
     merged = graph.edges | {(0, 1): 3}
     for edges in (cut, merged):
         bad = tampered(graph, edges)
-        with pytest.raises(RuntimeError, match="1-strings cover"):
+        with pytest.raises(RuntimeError, match="1-strings cover") as raised:
             i_strings(bad, 1)
+        assert _partition_error(bad, 1) == str(raised.value)
         assert len(i_strings(bad, 2)) == len(i_strings(graph, 2))
+        assert _partition_error(bad, 2) is None
+    assert [_partition_error(graph, i) for i in graph.indices()] == [None, None]
 
 
 def test_i_strings_rejects_overlapping_strings(graph_of):
@@ -170,8 +186,10 @@ def test_i_strings_rejects_overlapping_strings(graph_of):
     graph = graph_of("A2", (1, 1))
     edges = graph.edges | {(0, 1): 3}
     del edges[(6, 1)]
-    with pytest.raises(RuntimeError, match="element 3 lies in two 1-strings"):
+    with pytest.raises(RuntimeError, match="element 3 lies in two 1-strings") as raised:
         i_strings(tampered(graph, edges), 1)
+    assert _partition_error(tampered(graph, edges), 1) == str(raised.value)
+    assert _partition_error(tampered(graph, edges), 2) is None
 
 
 @pytest.mark.parametrize("name, lam, weight, phi", [
