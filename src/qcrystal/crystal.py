@@ -19,10 +19,10 @@ pairs (o_1, L_1, o_2, L_2, ...), run k being L_k / D times orbit point
 o_k.  Parallel runs share an orbit index, s_i is a table lookup and a
 split one divmod; a height minimum, split or endpoint off the grid raises
 PathKernelError.  The orbit and its reflection and pairing tables come
-from ``root_data._Orbit``, the one orbit search, which the Weyl group is
-read off as well.  The public LSPath keeps exact Fraction coordinates
-and is mapped onto the pairs of its own shape for each operator call,
-with the tables of a shape cached across calls.
+from ``root_data._Orbit``, the one Weyl-orbit search of weights, which the
+Weyl group is read off as well.  The public LSPath keeps exact Fraction
+coordinates and is mapped onto the pairs of its own shape for each
+operator call, with the tables of a shape cached across calls.
 
 A crystal is stored as columns indexed by element id rather than as one
 object per element: a list of path tuples, lists of weight, eps and phi
@@ -131,7 +131,7 @@ def _lower_runs(pair, refl, denom, path, h, m):
 
     Returns the canonical lowered path, or None at the string bottom.
     The reflected piece and the two pieces around it are canonical on
-    their own, so runs can only merge where they meet.
+    their own, so runs can merge only where they meet, and only at the head.
     """
     top = m + denom
     if h[-1] < top:
@@ -156,9 +156,9 @@ def _lower_runs(pair, refl, denom, path, h, m):
     if a and path[a - 2] == middle[0]:
         a -= 2
         middle[1] += path[a + 1]
-    if tail and tail[0] == middle[-2]:
-        middle[-1] += tail[1]
-        tail = tail[2:]
+    # no tail merge: local minima of an LS path's i-height are integers, so past
+    # t_jc it stays >= m + 1: the tail's first run pairs >= 0 with h_i, the
+    # reflected run before it < 0 (raising lowers the dual path, an LS path too)
     return path[:a] + tuple(middle) + tail
 
 

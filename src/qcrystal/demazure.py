@@ -51,26 +51,19 @@ class DemazureCrystal:
         return len(self.members)
 
 
-def _endless_string(graph, b, i):
-    return (f"the {i}-string below element {b} does not end within "
-            f"{len(graph)} steps: the {i}-edges contain a cycle")
-
-
 def _saturate(graph, members, i):
-    """members and every f_tilde_i chain below them.
+    """members and every f_tilde_i chain below them: their reachability closure.
 
-    Each walk stops after len(graph) steps with a RuntimeError: a longer
-    one has met a cycle of i-edges and would not end.
+    A walk stops at the first element already in the closure, a member whose
+    own walk covers what lies below it or an element an earlier walk went on
+    from.  So each element is visited about once, and every walk ends, on any
+    i-edges.
     """
     out = set(members)
-    limit, column = len(graph), graph.children[i - 1]
+    column = graph.children[i - 1]
     for b in members:
-        steps = 0
         child = column[b]
-        while child >= 0:
-            steps += 1
-            if steps > limit:
-                raise RuntimeError(_endless_string(graph, b, i))
+        while child >= 0 and child not in out:
             out.add(child)
             child = column[child]
     return out
@@ -198,6 +191,8 @@ def _partition_error(graph, i):
 
     One pass down the i-th child column from each top (eps_i = 0) marks what it
     meets; it reports an endless walk first, then the cover count, then overlap.
+    It is the one judge of whether the i-edges form finite strings: saturation
+    is plain reachability and ends on any i-edges.
     """
     _check_index(graph.datum, i)
     limit, i0, column = len(graph), i - 1, graph.children[i - 1]
@@ -206,7 +201,8 @@ def _partition_error(graph, i):
         b, steps = top, 0  # steps taken to reach b
         while b >= 0:
             if steps > limit:
-                return _endless_string(graph, top, i)
+                return (f"the {i}-string below element {top} does not end within "
+                        f"{limit} steps: the {i}-edges contain a cycle")
             if seen[b] and twice is None:
                 twice = b
             seen[b] = 1

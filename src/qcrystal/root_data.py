@@ -9,8 +9,10 @@ coroots are all computed with exact integer or rational arithmetic.
 The Weyl group W is read off the orbit of rho: rho is regular, so W acts
 simply transitively on it, and its breadth-first search under the simple
 reflections lists W in order of length with left multiplication as the
-reflection table.  ``_Orbit`` is that search, the one in the package; the path
-kernel, ``weyl_orbit`` and ``_orbit_walk``, the one walk over W.lambda, read it too.
+reflection table.  ``_Orbit`` is that search, the one Weyl-orbit search of
+weights in the package (``positive_roots`` closes the simple roots on its own);
+the path kernel, ``weyl_orbit`` and ``_orbit_walk``, the one walk over W.lambda,
+read it too.
 
 Supported types: A1..A4, B2, B3, C3, D4, G2, each written out with its
 symmetrizers in the one literal table ``_TYPES``; ``CartanDatum`` checks
@@ -166,13 +168,13 @@ def _check_rank(datum, lam):
 class _Orbit:
     """The Weyl orbit of lambda, with the tables the pair kernel looks up.
 
-    The one orbit search of the package: ``_weyl`` and ``weyl_orbit`` read
-    it as well.  Run k of a path (o_1, L_1, ...) is L_k * points[o_k], D
-    times its true displacement, with heights scaled to match.  ``points``
-    is the orbit breadth-first from lambda under the simple reflections,
-    ``index`` its inverse; for i0 = i - 1, ``refl[i0][o]`` indexes
-    s_i(points[o]), ``pair[i0][o]`` = <points[o], h_i> and ``neg`` is
-    ``pair`` negated.
+    The one Weyl-orbit search of weights in the package: ``_weyl`` and
+    ``weyl_orbit`` read it as well.  Run k of a path (o_1, L_1, ...) is
+    L_k * points[o_k], D times its true displacement, with heights scaled
+    to match.  ``points`` is the orbit breadth-first from lambda under the
+    simple reflections, ``index`` its inverse; for i0 = i - 1,
+    ``refl[i0][o]`` indexes s_i(points[o]), ``pair[i0][o]`` =
+    <points[o], h_i> and ``neg`` is ``pair`` negated.
     """
 
     __slots__ = ("points", "index", "refl", "pair", "neg")

@@ -318,8 +318,10 @@ def test_rank_one_checks_once_and_exits_1_when_violated(tmp_path, monkeypatch):
 
 def test_verify_on_broken_i_edges_fails_its_rows_without_a_traceback(graph_of, monkeypatch,
                                                                      capsys):
-    # a 1-edge from 5 back to 3 closes a cycle: i_strings and the walk's
-    # saturation both refuse it, and every row they feed fails with the message
+    # a 1-edge from 5 back to 3 closes a cycle: the partition check refuses it
+    # and fails the string and filtration rows with its message; saturation is
+    # plain reachability, so the walk still ends and its other rows report
+    # their own verdicts, which pass: the cycle adds nothing to any closure
     graph = graph_of("A2", (1, 1))
     monkeypatch.setattr(cli, "generate_crystal",
                         lambda *a, **k: tampered(graph, graph.edges | {(5, 1): 3}))
@@ -328,8 +330,9 @@ def test_verify_on_broken_i_edges_fails_its_rows_without_a_traceback(graph_of, m
     cycle = ("FAIL  witness: the 1-string below element 2 does not end within 8 steps: "
              "the 1-edges contain a cycle")
     assert len(lines) == 9 and lines[-1] == "result: FAIL"
-    assert [line.endswith(cycle) for line in lines[1:-1]] == [False] + [True] * 5 + [False]
-    assert lines[-2].endswith("PASS")  # weyl-dimension-agreement reads no edge
+    assert [line.endswith(cycle) for line in lines[1:-1]] == [False, True, True] + [False] * 4
+    assert [line.endswith("PASS") for line in lines[1:-1]] == [False] * 3 + [True] * 4
+    assert lines[1].endswith("FAIL  witness: ('edge map vs phi', 5, 1)")
 
 
 def test_resource_cap_exit_code():

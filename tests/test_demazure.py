@@ -1,10 +1,12 @@
 """Demazure subsets, i-strings, filtration layers, quotient structure."""
 
+import random
+from array import array
+
 import pytest
 
 from conftest import tampered
-from qcrystal.crystal import CrystalGraph
-from qcrystal.demazure import (_partition_error, demazure_crystal, demazure_subsets,
+from qcrystal.demazure import (_partition_error, _saturate, demazure_crystal, demazure_subsets,
                                extremal_element, extremal_weights,
                                filtration_layers, i_strings, quotient_strings,
                                reduced_word_independence,
@@ -128,34 +130,63 @@ def test_i_strings_partition(graph_of):
             assert lengths == {s.length}
 
 
-class _CountedGraph(CrystalGraph):
-    """Fails the test, rather than hanging it, once f has run far too often."""
+class _OneColumn:
+    """The one i-column ``_saturate`` reads, as a graph of len(column) elements."""
 
-    calls = 0
+    def __init__(self, column):
+        self.children = [column]
 
-    def f(self, b, i):
-        self.calls += 1
-        assert self.calls < 10_000, "an f_tilde walk did not stop"
-        return super().f(b, i)
+    def __len__(self):
+        return len(self.children[0])
+
+
+def _naive_closure(column, members):
+    """members and everything the i-column reaches from them, by fixed point."""
+    out = set(members)
+    while True:
+        more = out | {column[b] for b in out if column[b] >= 0}
+        if more == out:
+            return out
+        out = more
+
+
+def test_saturate_is_reachability_on_any_i_column():
+    # random i-columns: -1 ends a string, an entry may point back up, to itself
+    # or into a cycle; saturation must still end with the exact closure
+    rng = random.Random(2024)
+    loops = cycles = 0
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        column = array("i", (rng.randint(-1, n - 1) for _ in range(n)))
+        graph = _OneColumn(column)
+        members = rng.sample(range(n), rng.randint(0, n))
+        expected = _naive_closure(column, members)
+        assert _saturate(graph, array("i", members), 1) == expected, (column, members)
+        assert _saturate(graph, frozenset(members), 1) == expected, (column, members)
+        loops += any(column[b] == b for b in range(n))
+        cycles += any(b != column[b] >= 0 and column[column[b]] == b for b in range(n))
+    assert loops and cycles
 
 
 def test_cyclic_i_edges_raise(graph_of):
-    # A2 (1,1) has the 1-string 2 -> 3 -> 5; sending 5 back to 3 makes a cycle
+    # A2 (1,1) has the 1-string 2 -> 3 -> 5; sending 5 back to 3 makes a cycle.
+    # i_strings raises _partition_error's message; saturation is plain
+    # reachability, so it ends on the cycle and returns the closure, which the
+    # edge 5 -> 3 leaves as it was
     graph = graph_of("A2", (1, 1))
-    edges = graph.edges | {(5, 1): 3}
-    for run in (lambda g: i_strings(g, 1),
-                lambda g: demazure_crystal(g, (1, 2)),
-                lambda g: demazure_crystal(g, (2, 1, 2)),
-                demazure_subsets):
-        with pytest.raises(RuntimeError, match="element 2 does not end within 8 steps"):
-            run(tampered(graph, edges, cls=_CountedGraph))
-    # _partition_error returns the message that i_strings raises
-    with pytest.raises(RuntimeError) as raised:
-        i_strings(tampered(graph, edges, cls=_CountedGraph), 1)
-    assert _partition_error(tampered(graph, edges, cls=_CountedGraph), 1) == str(raised.value)
+    cyclic = tampered(graph, graph.edges | {(5, 1): 3})
+    with pytest.raises(RuntimeError, match="element 2 does not end within 8 steps") as raised:
+        i_strings(cyclic, 1)
+    assert _partition_error(cyclic, 1) == str(raised.value)
+    for word in ((1, 2), (2, 1, 2)):
+        assert demazure_crystal(cyclic, word).members == demazure_crystal(graph, word).members
+    (subsets, witness), (expected, _) = demazure_subsets(cyclic), demazure_subsets(graph)
+    assert witness is None
+    assert {w: dc.members for w, dc in subsets.items()} == {
+        w: dc.members for w, dc in expected.items()}
     # the 2-edges are untouched
-    assert len(i_strings(tampered(graph, edges, cls=_CountedGraph), 2)) == 4
-    assert _partition_error(tampered(graph, edges, cls=_CountedGraph), 2) is None
+    assert len(i_strings(cyclic, 2)) == 4
+    assert _partition_error(cyclic, 2) is None
     assert [_partition_error(graph, i) for i in graph.indices()] == [None, None]
 
 

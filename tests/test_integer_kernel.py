@@ -70,6 +70,23 @@ def test_crystal_matches_int_step_reference(name, lam, graph_of):
         assert (graph.orbit.steps(graph.runs[b]), *row) == expected, b
 
 
+@pytest.mark.parametrize("name,lam", INT_STEP_CASES)
+def test_stored_runs_are_maximal(name, lam, graph_of):
+    # lowering merges runs only at the head of the reflected piece, so no
+    # stored path may keep two adjacent runs along one orbit point
+    for b, path in enumerate(graph_of(name, lam).runs):
+        assert all(path[k] != path[k + 2] for k in range(0, len(path) - 2, 2)), b
+
+
+@pytest.mark.parametrize("name,lam", INT_STEP_CASES)
+def test_i_edges_point_to_larger_ids(name, lam, graph_of):
+    # each child id comes from the next BFS level, so generated i-edges have no
+    # cycle: only hand-built graphs meet ``demazure._partition_error``'s cycle
+    graph = graph_of(name, lam)
+    for column in graph.children:
+        assert all(child > b for b, child in enumerate(column) if child >= 0)
+
+
 def test_denominator_is_lcm_of_coroot_pairings():
     # <lambda, beta^vee> over the positive roots, worked by hand
     assert crystal._denominator(cartan_datum("A2"), (1, 1)) == 2          # 1, 1, 2
