@@ -19,8 +19,8 @@ import itertools
 from collections import Counter
 
 from .demazure import _gather, demazure_crystal
-from .root_data import (_check_index, _check_length, _check_rank, _coroots,
-                        _coset_words, _element, _Orbit, _orbit_walk,
+from .root_data import (_check_dominant, _check_index, _check_length, _check_rank,
+                        _coroots, _coset_words, _element, _Orbit, _orbit_walk,
                         dominant_representative, is_dominant, positive_roots,
                         root_coords, root_weight_coords, simple_root,
                         weyl_group, weyl_orbit)
@@ -143,10 +143,7 @@ def apply_demazure_word(datum, word, chi):
 
 def demazure_characters(datum, lam):
     """D_w(e^lambda) for every w in ``weyl_group`` order, read at w(lambda); lambda dominant."""
-    lam = tuple(lam)
-    _check_rank(datum, lam)
-    if not is_dominant(lam):
-        raise ValueError(f"Demazure characters need a dominant weight, got {lam}")
+    lam = _check_dominant(datum, lam, "Demazure characters need")
     orbit, shared = _Orbit(datum, lam), {lam: lam}
     walk = _orbit_walk(orbit, *_coset_words(orbit), FormalCharacter.monomial(lam),
                        lambda i, chi: demazure_operator(datum, i, chi, shared))
@@ -179,10 +176,7 @@ def weyl_dimension(datum, lam):
     coroot table ``root_data._coroots`` as dot products; the numerators
     and the denominators are multiplied as ints and divided once.
     """
-    lam = tuple(lam)
-    _check_rank(datum, lam)
-    if not is_dominant(lam):
-        raise ValueError(f"dimension formula needs a dominant weight, got {lam}")
+    lam = _check_dominant(datum, lam, "dimension formula needs")
     num = den = 1
     for coroot in _coroots(datum):
         num *= sum(c * (x + 1) for c, x in zip(coroot, lam))
@@ -204,12 +198,8 @@ def weyl_character(datum, lam):
     in exact integer arithmetic (no group-algebra division), then spread
     over Weyl orbits.  Independent of the path model by construction.
     """
-    lam = tuple(lam)
-    _check_rank(datum, lam)
-    if not is_dominant(lam):
-        raise ValueError(f"Freudenthal needs a dominant weight, got {lam}")
-    d = datum.sym
-    n = datum.rank
+    lam = _check_dominant(datum, lam, "Freudenthal needs")
+    d, n = datum.sym, datum.rank
     roots = [(r, root_weight_coords(datum, r)) for r in positive_roots(datum)]
 
     # Dominant weights <= lam live in the box 0 <= c <= coords(lam - w0 lam),

@@ -27,7 +27,6 @@ from .character import FormalCharacter, char_of, demazure_operator, weyl_charact
 from .crystal import (DEFAULT_MAX_ELEMENTS, PathKernelError, ResourceCapError,
                       generate_crystal, verify_normal)
 from . import demazure
-from .demazure import DemazureCrystal, demazure_crystal
 from .rank_one import RankOneModule, act_e, act_f, verify_sl2_relation
 from .root_data import _coset_words, _orbit_walk, cartan_datum, longest_word, weyl_order
 
@@ -295,12 +294,12 @@ def emit_rank_one(lam, write=None, ok=None):
 # -- verification suite ---------------------------------------------------
 
 
-def _corrupt(dc):
-    """Drop the top of the first i-string (lowest i, then top) met in its top and child."""
-    for i0, column in enumerate(dc.graph.children):
-        for b, (child, eps) in enumerate(zip(column, dc.graph.eps_of)):
-            if eps[i0] == 0 and child in dc.members and b in dc.members:
-                return DemazureCrystal(dc.graph, dc.word, dc.members - {b})
+def _corrupt(graph, members):
+    """members less the top of the first i-string (lowest i, then top) met in its top and child."""
+    for i0, column in enumerate(graph.children):
+        for b, (child, eps) in enumerate(zip(column, graph.eps_of)):
+            if eps[i0] == 0 and child in members and b in members:
+                return members - {b}
     raise RuntimeError("no string long enough to corrupt")
 
 
@@ -353,7 +352,7 @@ def run_verify(job):
             checked, checked_gather = members, gather
             if job.inject_failure and o == order[-1]:
                 w = longest_word(datum)
-                checked = _corrupt(DemazureCrystal(graph, w, members)).members
+                checked = _corrupt(graph, members)
                 checked_gather = demazure._gather(checked)
                 log.info("injected a corrupted subset for %s", w)
             for i in indices:
@@ -469,7 +468,7 @@ def _run(job):
         return EXIT_OK if ok else EXIT_VERIFY_FAILED, lambda write: write(data)
     datum = cartan_datum(job.type_name)
     graph = generate_crystal(datum, job.weight, max_elements=job.max_elements)
-    members = None if job.word is None else demazure_crystal(graph, job.word).members
+    members = None if job.word is None else demazure.demazure_crystal(graph, job.word).members
     if job.command == "character":
         chi = char_of(graph.all_ids() if members is None else members, graph)
         data = emit_character(datum, job.weight, job.word, chi, job.fmt)

@@ -44,8 +44,8 @@ from math import lcm
 from operator import sub
 
 from .character import weyl_dimension
-from .root_data import (_check_index, _check_rank, _coroots, _Orbit,
-                        dominant_representative, is_dominant, simple_root)
+from .root_data import (_check_dominant, _check_index, _coroots, _Orbit,
+                        dominant_representative, simple_root)
 
 DEFAULT_MAX_ELEMENTS = 200_000
 
@@ -100,11 +100,7 @@ class LSPath:
 
 def straight_path(datum, lam):
     """The highest-weight element: one straight segment to lambda."""
-    lam = tuple(lam)
-    _check_rank(datum, lam)
-    if not is_dominant(lam):
-        raise ValueError(f"straight_path needs a dominant weight, got {lam}")
-    return LSPath((lam,))
+    return LSPath((_check_dominant(datum, lam, "straight_path needs"),))
 
 
 def _denominator(datum, lam):

@@ -131,8 +131,7 @@ def extremal_weights(datum, lam, word):
     pairing cannot occur along a reduced word processed right to left, so
     one is reported as an error.
     """
-    lam = tuple(lam)
-    _check_rank(datum, lam)
+    lam = _check_rank(datum, lam)
     ladder = [(lam, None)]
     current = lam
     for i in reversed(tuple(word)):

@@ -150,10 +150,8 @@ class LaurentPoly(SparseMap):
         while rem:
             rmax = max(rem)
             shift = rmax - dmax
-            if shift < floor:
-                raise ExactDivisionError(f"{self} is not divisible by {divisor}")
             c, r = divmod(rem[rmax], dlead)
-            if r:
+            if shift < floor or r:
                 raise ExactDivisionError(f"{self} is not divisible by {divisor}")
             quo[shift] = quo.get(shift, 0) + c
             for e, d in divisor._terms.items():

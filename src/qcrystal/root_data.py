@@ -25,6 +25,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 WeylWord = tuple[int, ...]
 
@@ -156,13 +157,23 @@ def _check_length(datum, mu):
 
 
 def _check_rank(datum, lam):
-    """A weight is a tuple of rank-many ints (anything with ``__index__``)."""
+    """lam as a tuple of rank-many ints (anything with ``__index__``)."""
+    lam = tuple(lam)
     _check_length(datum, lam)
     for k, x in enumerate(lam, 1):
         try:
             operator.index(x)
         except TypeError:
             raise TypeError(f"weight coordinate {k} is {x!r}, not an int") from None
+    return lam
+
+
+def _check_dominant(datum, lam, subject):
+    """lam as a checked tuple of rank-many ints >= 0; ``subject`` is e.g. "Freudenthal needs"."""
+    lam = _check_rank(datum, lam)
+    if not is_dominant(lam):
+        raise ValueError(f"{subject} a dominant weight, got {lam}")
+    return lam
 
 
 class _Orbit:
@@ -267,7 +278,13 @@ def weyl_group(datum):
 
 
 def weyl_order(datum):
-    return len(weyl_group(datum))
+    """|W|, read off ``positive_roots`` with no Weyl-group table.
+
+    By the Poincare identity sum_w q^l(w) = prod_{beta>0} [ht beta + 1]_q / [ht beta]_q
+    at q = 1 (Macdonald, Math. Ann. 199 (1972)), ht beta the coefficient sum.
+    """
+    heights = [sum(root) for root in positive_roots(datum)]
+    return prod(h + 1 for h in heights) // prod(heights)
 
 
 def is_reduced(datum, word):

@@ -10,6 +10,9 @@ the path kernel from ``qcrystal.crystal`` and keeps the ``CrystalElement``
 record here, since the library graph has none; ``records`` reads them off
 a columnar graph.  ``char_of`` is kept here too, in its form that called
 ``graph.weight`` per member, since the library's reads a weight column.
+On i-edges that are no partition it reports as the library does:
+``_saturate`` is plain reachability, and ``run_verify`` fails the string
+and filtration rows with the message of ``i_strings`` instead of raising.
 ``test_dict_graph_reference.py`` diffs the library against it.  Do not
 import it from ``src/``.
 """
@@ -201,20 +204,15 @@ def _endless_string(graph, b, i):
 
 
 def _saturate(graph, members, i):
-    """members and every f_tilde_i chain below them.
+    """members and every f_tilde_i chain below them: their reachability closure.
 
-    Each walk stops after len(graph) steps with a RuntimeError: a longer
-    one has met a cycle of i-edges and would not end.
+    A walk stops at the first element already in the closure, so every walk
+    ends, on any i-edges.
     """
     out = set(members)
-    limit = len(graph)
     for b in members:
-        steps = 0
         child = graph.f(b, i)
-        while child is not None:
-            steps += 1
-            if steps > limit:
-                raise _endless_string(graph, b, i)
+        while child is not None and child not in out:
             out.add(child)
             child = graph.f(child, i)
     return out
@@ -358,6 +356,16 @@ def _corrupt(dc):
     raise RuntimeError("no string long enough to corrupt")
 
 
+def _partition_error(graph):
+    """None when ``i_strings`` accepts every index, else the message it refuses with."""
+    for i in graph.indices():
+        try:
+            string_index(graph, i)
+        except RuntimeError as exc:
+            return str(exc)
+    return None
+
+
 def _first_failure(subsets, check, indices):
     """(True, None), or (False, (w, witness)) for the first failing (w, i)."""
     for w, dc in subsets.items():
@@ -374,13 +382,15 @@ def run_verify(job):
     Every Demazure subset and every Demazure character comes from one
     pass over the weak order (``demazure_subsets``, ``demazure_characters``).
     ``--inject-failure`` corrupts B_{w0} for the string and filtration
-    checks only.
+    checks only.  i-edges that ``i_strings`` refuses fail those two rows
+    with its message.
     """
     datum = cartan_datum(job.type_name)
     graph = generate_crystal(datum, job.weight, max_elements=job.max_elements)
     subsets, independence = demazure_subsets(graph)
+    broken = _partition_error(graph)
     checked = dict(subsets)
-    if job.inject_failure:
+    if job.inject_failure and broken is None:
         top_word = longest_word(datum)
         checked[top_word] = _corrupt(checked[top_word])
         log.info("injected a corrupted subset for %s", top_word)
@@ -390,11 +400,13 @@ def run_verify(job):
     ok, witness = verify_normal(graph)
     rows.append(("normal-crystal-relations", ok, witness))
 
-    ok, witness = _first_failure(checked, verify_string_property, datum.indices())
-    rows.append((f"string-property ({len(subsets)} words x {datum.rank} indices)", ok, witness))
-
-    ok, witness = _first_failure(checked, verify_filtration_structure, datum.indices())
-    rows.append(("filtration-structure", ok, witness))
+    if broken is None:
+        strings = _first_failure(checked, verify_string_property, datum.indices())
+        layers = _first_failure(checked, verify_filtration_structure, datum.indices())
+    else:
+        strings = layers = False, broken
+    rows.append((f"string-property ({len(subsets)} words x {datum.rank} indices)", *strings))
+    rows.append(("filtration-structure", *layers))
 
     rows.append(("reduced-word-independence", independence is None, independence))
 

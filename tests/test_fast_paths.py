@@ -89,8 +89,7 @@ def test_gathered_string_rule_matches_the_intersection_loops(name, lam, graph_of
     for _, _, members, _, _ in _subset_levels(graph, *_coset_words(graph.orbit)):
         subsets.append(members)
         subsets.append(_cut(members, rng) if len(members) > 1 else members)
-    whole = DemazureCrystal(graph, longest_word(graph.datum), frozenset(graph.all_ids()))
-    subsets.append(cli._corrupt(whole).members)
+    subsets.append(cli._corrupt(graph, frozenset(graph.all_ids())))
     subsets.append(frozenset({rng.randrange(len(graph))}))  # one member: a scalar gather
     for members in subsets:
         dc = DemazureCrystal(graph, (), members)

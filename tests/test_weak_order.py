@@ -94,7 +94,7 @@ def _variants(dc):
     """dc itself, dc corrupted as ``--inject-failure`` does, one member dropped, one added."""
     yield dc
     try:
-        yield cli._corrupt(dc)
+        yield dataclasses.replace(dc, members=cli._corrupt(dc.graph, dc.members))
     except RuntimeError:
         pass
     members = sorted(dc.members)

@@ -4,17 +4,21 @@
 ``left_descents`` and the depth-first ``weyl_orbit``, all acting through
 ``reflect``.  For every type the functions of ``root_data`` must agree
 with them on every element of W and on every word of length at most 3.
+|W| is read off the positive roots by the Poincare identity, and ``verify``
+builds no Weyl-group table.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
 import weyl_reference as ref
-from qcrystal import crystal, root_data
+from qcrystal import cli, crystal, root_data
+from qcrystal.qarith import LaurentPoly, one
 from qcrystal.root_data import (canonical_word, cartan_datum, element_key,
-                                left_descents, longest_word, rho,
-                                supported_types, weyl_group, weyl_orbit,
+                                left_descents, longest_word, positive_roots,
+                                rho, supported_types, weyl_group, weyl_orbit,
                                 weyl_order)
 
 TYPES = supported_types()
@@ -61,3 +65,31 @@ def test_orbit_index_order_is_length_order(name):
 
 def test_the_path_kernel_reads_the_same_orbit_search():
     assert crystal._Orbit is root_data._Orbit
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_poincare_identity_counts_the_lengths(name):
+    # sum_w q^l(w) = prod over beta > 0 of (1 - q^(ht beta + 1)) / (1 - q^ht beta)
+    datum = cartan_datum(name)
+    num = den = one
+    for root in positive_roots(datum):
+        num *= LaurentPoly({0: 1, sum(root) + 1: -1})
+        den *= LaurentPoly({0: 1, sum(root): -1})
+    assert num.exact_div(den) == LaurentPoly(Counter(map(len, weyl_group(datum))))
+    assert weyl_order(datum) == len(weyl_group(datum))
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_verify_builds_no_weyl_table(name, monkeypatch):
+    datum = cartan_datum(name)
+    n = datum.rank
+    weights = [rho(datum), *(tuple(int(j == i) for j in range(n)) for i in range(n))]
+    jobs = [cli.parse_args(["verify", "--type", name, "--weight", ",".join(map(str, lam))])
+            for lam in weights]
+    expected = [cli.run_verify(job) for job in jobs]
+
+    def no_table(datum):
+        raise AssertionError(f"verify built the Weyl-group table of {datum.name}")
+
+    monkeypatch.setattr(root_data, "_weyl", no_table)
+    assert [cli.run_verify(job) for job in jobs] == expected

@@ -5,7 +5,8 @@ the crystal's own ``orbit``), ``_subset_levels`` and ``_character_levels``
 walked every element w of W in ``weyl_group`` order and compared the
 f_tilde_i closures of all left descents of each w, and ``run_verify``
 corrupted B_{w0} by its word.  The three functions below are that version,
-unchanged except that ``run_verify`` reads both walks from this module.
+unchanged except that ``run_verify`` reads both walks from this module and
+hands ``cli._corrupt`` the graph and member set.
 ``test_weyl_walk_reference.py`` diffs the orbit walk against it.  Do not
 import it from ``src/``.
 """
@@ -101,7 +102,7 @@ def run_verify(job):
         peak = max(peak, live)
         dc = DemazureCrystal(graph, w, members)
         if job.inject_failure and w == top_word:
-            dc = _corrupt(dc)
+            dc = DemazureCrystal(graph, w, _corrupt(graph, members))
             log.info("injected a corrupted subset for %s", w)
         gather = demazure._gather(dc.members)
         for i in indices:
