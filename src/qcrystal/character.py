@@ -20,7 +20,7 @@ from collections import Counter
 
 from .demazure import _gather, demazure_crystal
 from .root_data import (_check_dominant, _check_index, _check_length, _check_rank,
-                        _coroots, _coset_words, _element, _Orbit, _orbit_walk,
+                        _coroots, _coset_words, _Orbit, _orbit_walk, apply_word,
                         dominant_representative, is_dominant, positive_roots,
                         root_coords, root_weight_coords, simple_root,
                         weyl_group, weyl_orbit)
@@ -148,7 +148,7 @@ def demazure_characters(datum, lam):
     walk = _orbit_walk(orbit, *_coset_words(orbit), FormalCharacter.monomial(lam),
                        lambda i, chi: demazure_operator(datum, i, chi, shared))
     points = {o: chi for o, _, chi, _ in walk}
-    return {w: points[_element(datum, w, orbit.refl)] for w in weyl_group(datum)}
+    return {w: points[orbit.index[apply_word(datum, w, lam)]] for w in weyl_group(datum)}
 
 
 def verify_demazure_character(graph, lam, word):

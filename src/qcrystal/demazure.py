@@ -34,8 +34,8 @@ import operator
 from array import array
 from dataclasses import dataclass
 
-from .root_data import (_check_index, _check_rank, _coset_words, _element,
-                        _orbit_walk, all_reduced_words, canonical_word,
+from .root_data import (_check_index, _check_rank, _coset_words, _orbit_walk,
+                        all_reduced_words, apply_word, canonical_word,
                         is_reduced, left_descents, reflect, weyl_group)
 
 
@@ -90,15 +90,15 @@ def _subset_levels(graph, words, order):
     j, b)`` for the first j where it does not, b the least id in one set
     only, else None.  ``live`` counts the members of the walk's two levels.
     """
-    refl, live = graph.orbit.refl, {}  # member count per length
+    orbit, live = graph.orbit, {}  # member count per length
     grow = lambda i, prev: array("i", _saturate(graph, prev, i))
-    for o, w, members, below in _orbit_walk(graph.orbit, words, order, array("i", [0]), grow):
+    for o, w, members, below in _orbit_walk(orbit, words, order, array("i", [0]), grow):
         live[len(w)] = live.get(len(w), 0) + len(members)
         first = frozenset(members)
         disagreement = None
-        for j, row in enumerate(refl, 1):
-            if o and j != w[0] and row[o] <= o:  # another left descent, or s_j fixes the point
-                other = _saturate(graph, below[row[o]] if row[o] < o else first, j)
+        for j, (row, pair) in enumerate(zip(orbit.refl, orbit.pair), 1):
+            if o and j != w[0] and pair[o] <= 0:  # another left descent, or s_j fixes the point
+                other = _saturate(graph, below[row[o]] if pair[o] < 0 else first, j)
                 if disagreement is None and other != first:
                     disagreement = ("left descents disagree", w[0], j, min(first ^ other))
         yield o, w, first, disagreement, live[len(w)] + live.get(len(w) - 1, 0)
@@ -118,7 +118,8 @@ def demazure_subsets(graph):
         points[o] = members
         if witness is None and disagreement is not None:
             witness = (w, disagreement)
-    return {w: DemazureCrystal(graph, w, points[_element(graph.datum, w, graph.orbit.refl)])
+    index, lam = graph.orbit.index, graph.highest_weight
+    return {w: DemazureCrystal(graph, w, points[index[apply_word(graph.datum, w, lam)]])
             for w in weyl_group(graph.datum)}, witness
 
 

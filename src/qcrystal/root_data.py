@@ -6,13 +6,15 @@ coordinates.  Weights are plain tuples of ints in those coordinates; simple
 reflections, reduced words, dominance order, positive roots and their
 coroots are all computed with exact integer or rational arithmetic.
 
-The Weyl group W is read off the orbit of rho: rho is regular, so W acts
-simply transitively on it, and its breadth-first search under the simple
-reflections lists W in order of length with left multiplication as the
-reflection table.  ``_Orbit`` is that search, the one Weyl-orbit search of
-weights in the package (``positive_roots`` closes the simple roots on its own);
-the path kernel, ``weyl_orbit`` and ``_orbit_walk``, the one walk over W.lambda,
-read it too.
+An element w of the Weyl group W is known by its point w(rho), rho being
+regular: each word query applies its word to rho (``apply_word``) and reads
+the answer off the point by one descent rule, s_i shortens w exactly when
+<w(rho), h_i> < 0 (``_descent``; Humphreys, Reflection Groups and Coxeter
+Groups, 1990, 1.6-1.7).  Only ``weyl_group``, whose job is to list W,
+searches the orbit of rho.  ``_Orbit`` is that breadth-first search, the one
+Weyl-orbit search of weights in the package (``positive_roots`` closes the
+simple roots on its own); the path kernel, ``weyl_orbit`` and ``_orbit_walk``,
+the one walk over W.lambda, read it too.
 
 Supported types: A1..A4, B2, B3, C3, D4, G2, each written out with its
 symmetrizers in the one literal table ``_TYPES``; ``CartanDatum`` checks
@@ -179,7 +181,7 @@ def _check_dominant(datum, lam, subject):
 class _Orbit:
     """The Weyl orbit of lambda, with the tables the pair kernel looks up.
 
-    The one Weyl-orbit search of weights in the package: ``_weyl`` and
+    The one Weyl-orbit search of weights in the package: ``weyl_group`` and
     ``weyl_orbit`` read it as well.  Run k of a path (o_1, L_1, ...) is
     L_k * points[o_k], D times its true displacement, with heights scaled
     to match.  ``points`` is the orbit breadth-first from lambda under the
@@ -214,18 +216,32 @@ class _Orbit:
         return tuple(map(self.run, path[::2], path[1::2]))
 
 
+def _descent(mu):
+    """The least i with <mu, h_i> < 0, or 0: at w(lambda), w shortest, w's least left descent."""
+    return next((i for i, c in enumerate(mu, 1) if c < 0), 0)
+
+
+def _word_of(datum, mu):
+    """Canonical word of the shortest w taking mu's dominant representative to mu."""
+    word = []
+    while i := _descent(mu):
+        word.append(i)
+        mu = reflect(datum, i, mu)
+    return tuple(word)
+
+
 def _coset_words(orbit):
     """(canonical word by point index, point indices in (length, word) order).
 
     Breadth-first order is length order of the shortest w with w(lambda) =
-    points[o], and ``refl`` is left multiplication, so refl[i - 1][o] < o
-    exactly when i is a left descent of w; the canonical word of w is the
-    least (i,) + words[refl[i - 1][o]] over them.
+    points[o], and ``refl`` is left multiplication; the canonical word of w,
+    the lexicographically least, is (i,) + words[refl[i - 1][o]] for its
+    least left descent i, ``_descent(points[o])``.
     """
     words = [()]
     for o in range(1, len(orbit.points)):
-        words.append(min((i,) + words[row[o]]
-                         for i, row in enumerate(orbit.refl, 1) if row[o] < o))
+        i = _descent(orbit.points[o])
+        words.append((i,) + words[orbit.refl[i - 1][o]])
     return words, sorted(range(len(words)), key=lambda o: (len(words[o]), words[o]))
 
 
@@ -245,36 +261,21 @@ def _orbit_walk(orbit, words, order, top, grow):
         yield o, w, value, below
 
 
-@lru_cache(maxsize=None)
-def _weyl(datum):
-    """(orbit of rho, canonical word by orbit index, ``weyl_group`` tuple); rho is regular."""
-    orbit = _Orbit(datum, rho(datum))
-    words, order = _coset_words(orbit)
-    return orbit, words, tuple(words[o] for o in order)
-
-
-def _element(datum, word, refl=None):
-    """Orbit index of w(rho), or w(lambda) over lambda's ``refl`` table, last letter first."""
-    refl, o = refl or _weyl(datum)[0].refl, 0
-    for i in reversed(word):
-        _check_index(datum, i)
-        o = refl[i - 1][o]
-    return o
-
-
 def element_key(datum, word):
     """w(rho), a faithful fingerprint of the group element of ``word``."""
-    return _weyl(datum)[0].points[_element(datum, word)]
+    return apply_word(datum, word, rho(datum))
 
 
 def canonical_word(datum, word):
     """Lexicographically smallest reduced word for the element of ``word``."""
-    return _weyl(datum)[1][_element(datum, word)]
+    return _word_of(datum, element_key(datum, word))
 
 
+@lru_cache(maxsize=None)
 def weyl_group(datum):
-    """All Weyl-group elements as canonical reduced words, sorted by length."""
-    return _weyl(datum)[2]
+    """All Weyl-group elements as canonical reduced words, sorted by length, off rho's orbit."""
+    words, order = _coset_words(_Orbit(datum, rho(datum)))
+    return tuple(words[o] for o in order)
 
 
 def weyl_order(datum):
@@ -293,37 +294,36 @@ def is_reduced(datum, word):
 
 
 def longest_word(datum):
-    """Canonical reduced word of the longest element w_0."""
-    return weyl_group(datum)[-1]
+    """Canonical reduced word of the longest element w_0, read off w_0(rho) = -rho."""
+    return _word_of(datum, tuple(-c for c in rho(datum)))
 
 
 def left_descents(datum, word):
     """{i: canonical word of s_i w} over the left descents i of w, in index order.
 
-    A left descent of w is an index i with length(s_i w) < length(w).
+    A left descent of w is an i with length(s_i w) < length(w): <w(rho), h_i> < 0.
     """
-    orbit, words, _ = _weyl(datum)
-    o = _element(datum, word)
-    return {i: words[row[o]] for i, row in enumerate(orbit.refl, 1) if row[o] < o}
+    mu = element_key(datum, word)
+    return {i: _word_of(datum, reflect(datum, i, mu)) for i, c in enumerate(mu, 1) if c < 0}
 
 
 def all_reduced_words(datum, word):
     """Every reduced word of the element of ``word``, sorted.
 
-    Enumerated by a memoized recursion over left descents, which walks the
-    whole braid class: every supported type, D4 w0 with its 2316 words
-    included.  ``left_descents`` runs in index order and each memo entry is
-    sorted, so the words come out sorted.
+    Enumerated by a recursion over left descents, memoized by the point
+    w(rho), which walks the whole braid class: every supported type, D4 w0
+    with its 2316 words included.  Descents run in index order and each memo
+    entry is sorted, so the words come out sorted.
     """
-    memo: dict[WeylWord, tuple[WeylWord, ...]] = {(): ((),)}
+    memo: dict[tuple[int, ...], tuple[WeylWord, ...]] = {rho(datum): ((),)}
 
-    def rec(w):
-        if w not in memo:
-            memo[w] = tuple((i,) + u for i, v in left_descents(datum, w).items()
-                            for u in rec(v))
-        return memo[w]
+    def rec(mu):
+        if mu not in memo:
+            memo[mu] = tuple((i,) + u for i, c in enumerate(mu, 1) if c < 0
+                             for u in rec(reflect(datum, i, mu)))
+        return memo[mu]
 
-    return rec(canonical_word(datum, word))
+    return rec(element_key(datum, word))
 
 
 def _solve_root_coords(datum, mu):
@@ -418,11 +418,9 @@ def dominant_representative(datum, mu):
     """The unique dominant weight in the Weyl orbit of mu."""
     mu = tuple(mu)
     _check_length(datum, mu)
-    while True:
-        i = next((j for j, c in enumerate(mu) if c < 0), None)
-        if i is None:
-            return mu
-        mu = reflect(datum, i + 1, mu)
+    while i := _descent(mu):
+        mu = reflect(datum, i, mu)
+    return mu
 
 
 def supported_types():

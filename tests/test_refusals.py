@@ -175,6 +175,13 @@ ROOT_DATA = {
     "outside the root lattice": (lambda mp, g: root_data.root_coords(A2, (1, 0)),
                                  ValueError, "(1, 0) is not in the root lattice of A2"),
 }
+# every word query reads its word last letter first, so the 0 is refused before the 5
+ROOT_DATA.update({
+    f"{query} letter out of range": (
+        lambda mp, g, query=query: getattr(root_data, query)(A2, (1, 5, 0)),
+        IndexError, "simple-root index 0 out of range 1..2")
+    for query in ("canonical_word", "is_reduced", "left_descents", "element_key",
+                  "all_reduced_words")})
 
 
 @pytest.mark.parametrize("name", ROOT_DATA)

@@ -1,11 +1,11 @@
-"""The Weyl group read off the orbit of rho, against the searches it replaced.
+"""The Weyl group and its word queries, against the searches they replaced.
 
 ``weyl_reference.py`` keeps the level-by-level element table, the old
 ``left_descents`` and the depth-first ``weyl_orbit``, all acting through
 ``reflect``.  For every type the functions of ``root_data`` must agree
-with them on every element of W and on every word of length at most 3.
-|W| is read off the positive roots by the Poincare identity, and ``verify``
-builds no Weyl-group table.
+with them on every element of W, on every element times one more letter
+and on every word of length at most 3.  |W| is read off the positive roots
+by the Poincare identity, and no command of the CLI lists W.
 """
 
 import itertools
@@ -14,12 +14,14 @@ from collections import Counter
 import pytest
 
 import weyl_reference as ref
-from qcrystal import cli, crystal, root_data
+import qcrystal
+from qcrystal import character, cli, crystal, demazure, root_data
 from qcrystal.qarith import LaurentPoly, one
-from qcrystal.root_data import (canonical_word, cartan_datum, element_key,
-                                left_descents, longest_word, positive_roots,
-                                rho, supported_types, weyl_group, weyl_orbit,
-                                weyl_order)
+from qcrystal.root_data import (_coset_words, _Orbit, all_reduced_words,
+                                canonical_word, cartan_datum, element_key,
+                                is_reduced, left_descents, longest_word,
+                                positive_roots, rho, supported_types, weyl_group,
+                                weyl_orbit, weyl_order)
 
 TYPES = supported_types()
 
@@ -39,10 +41,27 @@ def test_group_and_longest_word_match_the_reference(name):
 @pytest.mark.parametrize("name", TYPES)
 def test_word_functions_match_the_reference(name):
     datum = cartan_datum(name)
-    for word in [*weyl_group(datum), *_short_words(datum)]:
+    group = weyl_group(datum)
+    longer = [w + (i,) for w in group for i in datum.indices()]
+    for word in [*group, *longer, *_short_words(datum)]:
         assert canonical_word(datum, word) == ref.canonical_word(datum, word), word
         assert element_key(datum, word) == ref.element_key(datum, word), word
         assert left_descents(datum, word) == ref.left_descents(datum, word), word
+        reduced = len(ref.canonical_word(datum, word)) == len(word)
+        assert is_reduced(datum, word) == reduced, word
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "B2", "G2"])
+def test_all_reduced_words_are_the_words_of_the_element(name):
+    # a word of length l(w) with w's point is a reduced word of w, and every one is
+    datum = cartan_datum(name)
+    by_point = {}
+    for k in range(len(ref.longest_word(datum)) + 1):
+        for word in itertools.product(datum.indices(), repeat=k):
+            by_point.setdefault((k, ref.element_key(datum, word)), []).append(word)
+    for w in weyl_group(datum):
+        expected = sorted(by_point[len(w), ref.element_key(datum, w)])
+        assert all_reduced_words(datum, w) == tuple(expected), w
 
 
 @pytest.mark.parametrize("name", TYPES)
@@ -57,7 +76,9 @@ def test_weyl_orbit_matches_the_depth_first_search(name):
 
 @pytest.mark.parametrize("name", TYPES)
 def test_orbit_index_order_is_length_order(name):
-    orbit, words, _ = root_data._weyl(cartan_datum(name))
+    datum = cartan_datum(name)
+    orbit = _Orbit(datum, rho(datum))
+    words, _ = _coset_words(orbit)
     lengths = [len(w) for w in words]
     assert lengths == sorted(lengths)
     assert len(words) == len(orbit.points) == len(set(words))
@@ -79,17 +100,49 @@ def test_poincare_identity_counts_the_lengths(name):
     assert weyl_order(datum) == len(weyl_group(datum))
 
 
-@pytest.mark.parametrize("name", TYPES)
-def test_verify_builds_no_weyl_table(name, monkeypatch):
+def _jobs(name, command):
+    """argv lists of ``command`` at rho and at every fundamental weight of ``name``.
+
+    demazure and character run along w0 and along (1, ..., rank), verify
+    with and without --inject-failure.
+    """
     datum = cartan_datum(name)
     n = datum.rank
-    weights = [rho(datum), *(tuple(int(j == i) for j in range(n)) for i in range(n))]
-    jobs = [cli.parse_args(["verify", "--type", name, "--weight", ",".join(map(str, lam))])
-            for lam in weights]
-    expected = [cli.run_verify(job) for job in jobs]
+    tails = ([[], ["--inject-failure"]] if command == "verify" else
+             [["--word", ",".join(map(str, w))]
+              for w in (ref.longest_word(datum), tuple(datum.indices()))])
+    for lam in [rho(datum), *(tuple(int(j == i) for j in range(n)) for i in range(n))]:
+        for tail in tails:
+            yield [command, "--type", name, "--weight", ",".join(map(str, lam)), *tail]
 
-    def no_table(datum):
-        raise AssertionError(f"verify built the Weyl-group table of {datum.name}")
 
-    monkeypatch.setattr(root_data, "_weyl", no_table)
-    assert [cli.run_verify(job) for job in jobs] == expected
+def _same_without_weyl_group(jobs, graph_of, monkeypatch, path):
+    """Each job writes the same bytes with the same exit code when ``weyl_group`` raises."""
+    monkeypatch.setattr(cli, "generate_crystal",
+                        lambda datum, lam, max_elements: graph_of(datum.name, lam))
+
+    def run(argv):
+        code = cli.main(argv + ["--out", str(path)])
+        return path.read_bytes(), code
+
+    jobs = list(jobs)
+    expected = [run(argv) for argv in jobs]
+
+    def no_listing(datum):
+        raise AssertionError(f"the CLI listed the Weyl group of {datum.name}")
+
+    for module in (root_data, demazure, character, qcrystal):  # wherever it is bound
+        monkeypatch.setattr(module, "weyl_group", no_listing)
+    for argv, outcome in zip(jobs, expected):
+        assert run(argv) == outcome, argv
+
+
+@pytest.mark.parametrize("command", ["demazure", "character"])
+@pytest.mark.parametrize("name", TYPES)
+def test_word_commands_list_no_weyl_group(name, command, graph_of, monkeypatch, tmp_path):
+    _same_without_weyl_group(_jobs(name, command), graph_of, monkeypatch, tmp_path / "out")
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_verify_builds_no_weyl_table(name, graph_of, monkeypatch, tmp_path):
+    _same_without_weyl_group(_jobs(name, "verify"), graph_of, monkeypatch, tmp_path / "out")

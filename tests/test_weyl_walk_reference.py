@@ -20,7 +20,7 @@ from conftest import tampered
 from qcrystal import character, cli, demazure, root_data
 from qcrystal.character import FormalCharacter, demazure_characters, demazure_operator
 from qcrystal.demazure import _subset_levels, demazure_subsets
-from qcrystal.root_data import (_coset_words, _element, _orbit_walk, cartan_datum,
+from qcrystal.root_data import (_coset_words, _orbit_walk, apply_word, cartan_datum,
                                 rho, supported_types, weyl_group)
 from test_dict_graph_reference import _outcome
 
@@ -74,7 +74,7 @@ def test_each_word_gets_the_subset_and_character_of_its_point(name, lam, graph_o
     expected_chars = dict(ref._character_levels(datum, lam))
     assert tuple(expected_subsets) == tuple(expected_chars) == weyl_group(datum)
     for w, members in expected_subsets.items():
-        o = _element(datum, w, orbit.refl)
+        o = orbit.index[apply_word(datum, w, lam)]
         assert subsets[o] == members and chars[o] == expected_chars[w], w
     found, witness = demazure_subsets(graph)
     assert witness is None

@@ -1,13 +1,14 @@
 """Test-only reference: the Weyl-group searches qcrystal used before ``_Orbit``.
 
-Before the Weyl group was read off ``root_data._weyl`` (the breadth-first
-orbit of rho and its reflection table), ``root_data`` ran two searches of
-its own: a level-by-level search of rho's orbit keeping the least
-candidate word per element, and a depth-first search for ``weyl_orbit``.
-Both, and the word functions on top of them, are kept here as written
-then, acting through ``reflect`` and ``apply_word`` only, so the
-differential tests in ``test_weyl_table.py`` share no orbit search with
-the code they check.  Do not import it from ``src/``.
+Before ``root_data`` read the Weyl group off ``_Orbit`` (the breadth-first
+orbit of rho and its reflection table) and each word query off its one
+point w(rho), it ran two searches of its own: a level-by-level search of
+rho's orbit keeping the least candidate word per element, and a
+depth-first search for ``weyl_orbit``.  Both, and the word functions on top
+of them, are kept here as written then, acting through ``reflect`` and
+``apply_word`` only, so the differential tests in ``test_weyl_table.py``
+share no orbit search and no descent rule with the code they check.  Do
+not import it from ``src/``.
 """
 
 from functools import lru_cache
