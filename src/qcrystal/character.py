@@ -5,8 +5,9 @@ Characters of crystal subsets are nonnegative, but Demazure operators need
 signed intermediate values, so negative entries are allowed and crystal
 characters are validated at the boundary instead.  ``FormalCharacter`` is a
 ``SparseMap`` (``sparse.py``), the core it shares with ``LaurentPoly``.
-``demazure_operator`` is the step of ``root_data._orbit_walk`` that grows the
-Demazure characters: D_w(e^lambda) = D_{w[0]}(D_{w[1:]}(e^lambda)).
+``demazure_operator`` is the step of the ``root_data._orbit_walk`` in which
+``verify`` grows the Demazure characters,
+D_w(e^lambda) = D_{w[0]}(D_{w[1:]}(e^lambda)).
 
 Two independent oracles live here: the Weyl dimension product formula and
 Freudenthal's multiplicity recursion.  Neither touches the path model, so
@@ -20,10 +21,8 @@ from collections import Counter
 
 from .demazure import _gather, demazure_crystal
 from .root_data import (_check_dominant, _check_index, _check_length, _check_rank,
-                        _coroots, _coset_words, _Orbit, _orbit_walk, apply_word,
-                        dominant_representative, is_dominant, positive_roots,
-                        root_coords, root_weight_coords, simple_root,
-                        weyl_group, weyl_orbit)
+                        _coroots, dominant_representative, is_dominant, positive_roots,
+                        root_coords, root_weight_coords, simple_root, weyl_orbit)
 from .sparse import SparseMap
 
 
@@ -139,16 +138,6 @@ def apply_demazure_word(datum, word, chi):
     for i in reversed(word):
         chi = demazure_operator(datum, i, chi, shared)
     return chi
-
-
-def demazure_characters(datum, lam):
-    """D_w(e^lambda) for every w in ``weyl_group`` order, read at w(lambda); lambda dominant."""
-    lam = _check_dominant(datum, lam, "Demazure characters need")
-    orbit, shared = _Orbit(datum, lam), {lam: lam}
-    walk = _orbit_walk(orbit, *_coset_words(orbit), FormalCharacter.monomial(lam),
-                       lambda i, chi: demazure_operator(datum, i, chi, shared))
-    points = {o: chi for o, _, chi, _ in walk}
-    return {w: points[orbit.index[apply_word(datum, w, lam)]] for w in weyl_group(datum)}
 
 
 def verify_demazure_character(graph, lam, word):

@@ -1,4 +1,4 @@
-"""Demazure subsets B_w(lambda), i-strings and W-filtration layers.
+"""Demazure subsets B_w(lambda) and the i-string rule that checks them.
 
 The subset attached to a reduced word is grown from the highest-weight
 element by saturating letters right to left: for word (i_1, ..., i_n) the
@@ -20,23 +20,21 @@ w(lambda), which stands in for the descents of longer words with that
 point.  Disagreements are reported; when none occur, by induction on
 length every reduced word of every w cuts the same subset, so reduced-word
 independence is checked exactly, for every type, without enumerating them.
-The walk keeps two length levels of subsets alive, as int arrays; ``verify``
-checks each B_w as it is built, and ``demazure_subsets`` keeps them all.
+The walk keeps two length levels of subsets alive, as int arrays, and
+``verify`` checks each B_w as it is built.
 
 An i-string is stored once, in the graph's i-th child and parent
 columns; ``_partition_error`` decides whether the i-edges partition the
-crystal.  Once they do, one local rule reads the string and filtration
-verdicts of a subset off the columns (``verify_strings``), and saturation
-and string walks read the child columns directly.
+crystal.  Once they do, one local rule, ``_string_rule``, reads the string
+and filtration verdicts of a subset off the columns (Kashiwara's string
+property: each i-string meets B_w in itself, its top alone, or not at all).
 """
 
 import operator
 from array import array
 from dataclasses import dataclass
 
-from .root_data import (_check_index, _check_rank, _coset_words, _orbit_walk,
-                        all_reduced_words, apply_word, canonical_word,
-                        is_reduced, left_descents, reflect, weyl_group)
+from .root_data import _check_index, _check_rank, _orbit_walk, is_reduced, reflect
 
 
 @dataclass(frozen=True)
@@ -104,25 +102,6 @@ def _subset_levels(graph, words, order):
         yield o, w, first, disagreement, live[len(w)] + live.get(len(w) - 1, 0)
 
 
-def demazure_subsets(graph):
-    """Every B_w(lambda) from one pass over the orbit W.lambda.
-
-    Returns (subsets, witness).  ``subsets`` maps each canonical word w (in
-    ``weyl_group`` order) to the DemazureCrystal of its point w(lambda),
-    the subset ``demazure_crystal(graph, w)`` cuts.  ``witness`` is None
-    when the walk's comparisons all agree, else the first point's
-    ``(w, ("left descents disagree", i, j, b))`` (see ``_subset_levels``).
-    """
-    points, witness = {}, None
-    for o, w, members, disagreement, _ in _subset_levels(graph, *_coset_words(graph.orbit)):
-        points[o] = members
-        if witness is None and disagreement is not None:
-            witness = (w, disagreement)
-    index, lam = graph.orbit.index, graph.highest_weight
-    return {w: DemazureCrystal(graph, w, points[index[apply_word(graph.datum, w, lam)]])
-            for w in weyl_group(graph.datum)}, witness
-
-
 def extremal_weights(datum, lam, word):
     """The reflection ladder lambda, s_{i_n} lambda, ..., w lambda.
 
@@ -162,30 +141,6 @@ def extremal_element(graph, word):
     return b
 
 
-def reduced_word_independence(graph, word):
-    """Check that every reduced word of the element cuts the same subset."""
-    words = all_reduced_words(graph.datum, word)
-    reference = demazure_crystal(graph, words[0]).members
-    for other in words[1:]:
-        members = demazure_crystal(graph, other).members
-        if members != reference:
-            return False, (words[0], other)
-    return True, None
-
-
-@dataclass(frozen=True, slots=True)
-class IString:
-    """A maximal f_tilde_i chain: top has eps_i = 0, length equals phi_i(top)."""
-
-    i: int
-    top: int
-    members: tuple[int, ...]
-
-    @property
-    def length(self):
-        return len(self.members) - 1
-
-
 def _partition_error(graph, i):
     """None when the i-edges partition the crystal into strings, else why not.
 
@@ -215,21 +170,6 @@ def _partition_error(graph, i):
     else:
         return None
     return f"{reason}: the {i}-edges do not form a normal crystal"
-
-
-def i_strings(graph, i):
-    """The i-strings, in order of their tops; RuntimeError unless ``_partition_error`` passes."""
-    error = _partition_error(graph, i)
-    if error:
-        raise RuntimeError(error)
-    strings, column = [], graph.children[i - 1]
-    for b, eps in enumerate(graph.eps_of):
-        if eps[i - 1] == 0:
-            chain = [b]
-            while column[chain[-1]] >= 0:
-                chain.append(column[chain[-1]])
-            strings.append(IString(i=i, top=b, members=tuple(chain)))
-    return strings
 
 
 def _gather(members):
@@ -286,69 +226,3 @@ def _string_rule(graph, members, i, gather):
     if lone and (not tops or min(lone) < min(tops)):
         filtration = False, ("bad singleton layer", i, min(lone))
     return string, filtration
-
-
-def verify_strings(dc, i):
-    """(verify_string_property(dc, i), verify_filtration_structure(dc, i)) by one rule.
-
-    Raises RuntimeError with ``_partition_error``'s message on a non-partition.
-    """
-    error = _partition_error(dc.graph, i)
-    if error:
-        raise RuntimeError(error)
-    return _string_rule(dc.graph, dc.members, i, _gather(dc.members))
-
-
-def verify_string_property(dc, i):
-    """Each i-string meets the subset in itself, its top alone, or nothing."""
-    return verify_strings(dc, i)[0]
-
-
-def filtration_layers(dc, i):
-    """Members split by string length l = eps_i + phi_i (constant on strings)."""
-    graph, i0 = dc.graph, i - 1
-    _check_index(graph.datum, i)
-    layers: dict[int, set[int]] = {}
-    for b in dc.members:
-        l = graph.eps_of[b][i0] + graph.phi_of[b][i0]
-        layers.setdefault(l, set()).add(b)
-    return {l: frozenset(v) for l, v in sorted(layers.items())}
-
-
-def verify_filtration_structure(dc, i):
-    """Each layer meets each i-string in the whole string or a dominant top.
-
-    The singleton case must be the string's top and must carry i-weight
-    l > 0; that is what makes the corresponding filtration quotient a
-    dominant line rather than a truncated string.
-    """
-    return verify_strings(dc, i)[1]
-
-
-def quotient_strings(big, small, i):
-    """Difference of a covering pair B_w over B_{sw}, s the letter i.
-
-    Requires big to be the f_tilde_i saturation step over small, i.e.
-    the elements satisfy w = s_i * (sw) with the length going up.  The
-    difference must be a disjoint union of i-strings each missing exactly
-    its top, the top sitting in the smaller subset.  Returns the
-    difference and a witness (None when the structure holds).
-    """
-    if big.graph is not small.graph:
-        raise ValueError("subsets live in different crystals")
-    datum = big.graph.datum
-    below = canonical_word(datum, small.word)
-    if canonical_word(datum, big.word) == below:
-        return frozenset(), None  # degenerate pair, empty difference
-    if left_descents(datum, big.word).get(i) != below:
-        raise ValueError(
-            f"words {big.word} / {small.word} are not a covering pair for letter {i}")
-    diff = big.members - small.members
-    for s in i_strings(big.graph, i):
-        hit = diff.intersection(s.members)
-        if not hit:
-            continue
-        if hit == set(s.members[1:]) and s.top in small.members:
-            continue
-        return diff, (i, s.top, tuple(sorted(hit)))
-    return diff, None

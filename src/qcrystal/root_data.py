@@ -29,8 +29,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-WeylWord = tuple[int, ...]
-
 # name -> (Cartan matrix rows, symmetrizers d with d_i a_ij = d_j a_ji)
 _TYPES = {
     "A1": (((2,),), (1,)),
@@ -131,8 +129,7 @@ def reflect(datum, i, mu):
     c = mu[i - 1]
     if c == 0:
         return tuple(mu)
-    alpha = simple_root(datum, i)
-    return tuple(m - c * a for m, a in zip(mu, alpha))
+    return tuple(m - c * row[i - 1] for m, row in zip(mu, datum.cartan))
 
 
 def apply_word(datum, word, mu):
@@ -305,25 +302,6 @@ def left_descents(datum, word):
     """
     mu = element_key(datum, word)
     return {i: _word_of(datum, reflect(datum, i, mu)) for i, c in enumerate(mu, 1) if c < 0}
-
-
-def all_reduced_words(datum, word):
-    """Every reduced word of the element of ``word``, sorted.
-
-    Enumerated by a recursion over left descents, memoized by the point
-    w(rho), which walks the whole braid class: every supported type, D4 w0
-    with its 2316 words included.  Descents run in index order and each memo
-    entry is sorted, so the words come out sorted.
-    """
-    memo: dict[tuple[int, ...], tuple[WeylWord, ...]] = {rho(datum): ((),)}
-
-    def rec(mu):
-        if mu not in memo:
-            memo[mu] = tuple((i,) + u for i, c in enumerate(mu, 1) if c < 0
-                             for u in rec(reflect(datum, i, mu)))
-        return memo[mu]
-
-    return rec(element_key(datum, word))
 
 
 def _solve_root_coords(datum, mu):

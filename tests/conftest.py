@@ -4,6 +4,11 @@ from array import array
 import pytest
 
 import qcrystal as qc
+import weyl_reference
+from qcrystal.character import FormalCharacter, demazure_operator
+from qcrystal.demazure import (DemazureCrystal, _gather, _partition_error, _string_rule,
+                               _subset_levels)
+from qcrystal.root_data import _coset_words, _orbit_walk, apply_word
 
 
 @functools.lru_cache(maxsize=None)
@@ -34,3 +39,41 @@ def tampered(graph, edges=None, cls=qc.CrystalGraph, **rows):
             columns[name][b] = row
     return cls(graph.datum, graph.highest_weight, graph.denominator, graph.orbit,
                graph.runs, columns["weight"], columns["eps"], columns["phi"], children)
+
+
+def string_rule(dc, i):
+    """(string verdict, filtration verdict) of ``dc`` for index i, as ``verify`` reads them.
+
+    ``demazure._string_rule`` on dc's members, once ``_partition_error``
+    accepts the i-edges as a partition into strings.
+    """
+    assert _partition_error(dc.graph, i) is None
+    return _string_rule(dc.graph, dc.members, i, _gather(dc.members))
+
+
+def by_word(graph):
+    """(subsets, characters, witness): every B_w(lambda) and D_w(e^lambda), keyed by w.
+
+    The orbit walks that ``verify`` runs, ``demazure._subset_levels`` and the
+    character ``_orbit_walk`` with one ``demazure_operator`` memo, value each
+    point of W.lambda once.  Each canonical word w of
+    ``weyl_reference.weyl_group`` reads the values at its point w(lambda):
+    ``subsets[w]`` is their DemazureCrystal, ``characters[w]`` their
+    character.  ``witness`` is None when the walk's comparisons all agree,
+    else the first point's ``(w, disagreement)``.
+    """
+    datum, lam, orbit = graph.datum, graph.highest_weight, graph.orbit
+    coset, shared = _coset_words(orbit), {lam: lam}
+    chars = _orbit_walk(orbit, *coset, FormalCharacter.monomial(lam),
+                        lambda i, chi: demazure_operator(datum, i, chi, shared))
+    points, witness = {}, None
+    for (o, w, members, disagreement, _), (_, _, chi, _) in zip(
+            _subset_levels(graph, *coset), chars):
+        points[o] = members, chi
+        if witness is None and disagreement is not None:
+            witness = (w, disagreement)
+    subsets, characters = {}, {}
+    for w in weyl_reference.weyl_group(datum):
+        members, characters[w] = points[orbit.index[apply_word(datum, w, lam)]]
+        subsets[w] = DemazureCrystal(graph, w, members)
+    return subsets, characters, witness

@@ -12,7 +12,8 @@ a columnar graph.  ``char_of`` is kept here too, in its form that called
 ``graph.weight`` per member, since the library's reads a weight column.
 On i-edges that are no partition it reports as the library does:
 ``_saturate`` is plain reachability, and ``run_verify`` fails the string
-and filtration rows with the message of ``i_strings`` instead of raising.
+and filtration rows with the message of its ``i_strings`` instead of
+raising.  Its strings are ``string_reference.IString`` records.
 ``test_dict_graph_reference.py`` diffs the library against it.  Do not
 import it from ``src/``.
 """
@@ -28,9 +29,10 @@ from qcrystal.crystal import (DEFAULT_MAX_ELEMENTS, ResourceCapError,
                               _denominator, _from_grid, _lower, _lower_runs,
                               _Orbit, _reversed_runs, _run_heights,
                               _string_data)
-from qcrystal.demazure import DemazureCrystal, IString
+from qcrystal.demazure import DemazureCrystal
 from qcrystal.root_data import (_check_rank, cartan_datum, left_descents,
                                 longest_word, weyl_group)
+from string_reference import IString
 
 log = logging.getLogger(__name__)
 

@@ -4,15 +4,15 @@ import random
 
 import pytest
 
+from conftest import by_word
 from qcrystal import cli
 from qcrystal.character import (FormalCharacter, apply_demazure_word, char_of,
-                                demazure_characters, demazure_operator,
-                                verify_demazure_character, weyl_character,
-                                weyl_dimension)
+                                demazure_operator, verify_demazure_character,
+                                weyl_character, weyl_dimension)
 from qcrystal.crystal import generate_crystal
 from qcrystal.demazure import demazure_crystal, extremal_weights
-from qcrystal.root_data import (all_reduced_words, cartan_datum, longest_word,
-                                reflect, simple_root, weyl_group)
+from qcrystal.root_data import cartan_datum, longest_word, reflect, simple_root, weyl_group
+from weyl_reference import all_reduced_words
 
 A1 = cartan_datum("A1")
 A2 = cartan_datum("A2")
@@ -171,25 +171,13 @@ def test_weight_oracles_reject_wrong_length():
 
 def test_demazure_entry_points_reject_wrong_length():
     # neither drop a coordinate of a longer weight nor index past a shorter one
-    entry_points = (lambda lam: demazure_characters(A2, lam),
-                    lambda lam: apply_demazure_word(A2, (1, 2, 1), FormalCharacter.monomial(lam)),
+    entry_points = (lambda lam: apply_demazure_word(A2, (1, 2, 1), FormalCharacter.monomial(lam)),
                     lambda lam: extremal_weights(A2, lam, (1, 2, 1)))
     for fn in entry_points:
         for lam in ((1, 1, 5), (1,)):
             with pytest.raises(ValueError,
                                match=f"weight length {len(lam)} does not match rank 2"):
                 fn(lam)
-
-
-def test_demazure_characters_refuse_a_non_dominant_weight():
-    # the walk keys each w by its point w(lambda), which needs W_lambda to be
-    # a standard parabolic fixing e^lambda; at (1, -1) s1 s2 s1 fixes lambda,
-    # yet D1 D2 D1 e^lambda = 0
-    assert apply_demazure_word(A2, (1, 2, 1), FormalCharacter.monomial((1, -1))) == \
-        FormalCharacter()
-    for lam in ((1, -1), (-1, 0), (-2, -3)):
-        with pytest.raises(ValueError, match="dominant weight"):
-            demazure_characters(A2, lam)
 
 
 def _key_objects(characters):
@@ -201,9 +189,9 @@ def _key_objects(characters):
     return objects
 
 
-def test_character_walk_keeps_one_tuple_per_weight():
+def test_character_walk_keeps_one_tuple_per_weight(graph_of):
     # every D_w(e^lambda) of the walk keys a weight by the same tuple object
-    chars = demazure_characters(cartan_datum("D4"), (1, 1, 1, 1))
+    chars = by_word(graph_of("D4", (1, 1, 1, 1)))[1]
     assert len(chars) == 192
     objects = _key_objects(chars.values())
     assert len(objects) == 601

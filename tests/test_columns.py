@@ -5,11 +5,10 @@ import re
 
 import pytest
 
-from conftest import tampered
+from conftest import by_word, tampered
 from qcrystal import cli, crystal
 from qcrystal.crystal import e_tilde, eps_phi, f_tilde
-from qcrystal.demazure import (demazure_crystal, demazure_subsets,
-                               filtration_layers, i_strings)
+from qcrystal.demazure import _partition_error
 from qcrystal.root_data import cartan_datum
 
 
@@ -50,10 +49,9 @@ def test_the_larger_source_names_the_parent_of_a_shared_child(graph_of):
 def test_string_data_rejects_an_index_out_of_range(i, graph_of):
     # eps_of[b][i - 1] alone would read the last index at i = 0
     graph = graph_of("A2", (1, 1))
-    dc = demazure_crystal(graph, (1,))
     message = re.escape(f"simple-root index {i} out of range 1..2")
     for read in (lambda: graph.eps(0, i), lambda: graph.phi(0, i),
-                 lambda: filtration_layers(dc, i), lambda: i_strings(graph, i)):
+                 lambda: _partition_error(graph, i)):
         with pytest.raises(IndexError, match=message):
             read()
     assert graph.f(0, i) is None and graph.e(5, i) is None
@@ -93,7 +91,7 @@ def test_public_operators_share_grid_tables_per_shape(graph_of):
 def _two_level_peak(graph):
     """Largest member count of two adjacent length levels, from the all-subsets dict."""
     sizes = {}
-    for w, dc in demazure_subsets(graph)[0].items():
+    for w, dc in by_word(graph)[0].items():
         sizes[len(w)] = sizes.get(len(w), 0) + len(dc)
     return max(sizes[n] + sizes.get(n - 1, 0) for n in sizes)
 

@@ -1,19 +1,22 @@
-"""Demazure subsets, i-strings, filtration layers, quotient structure."""
+"""Demazure subsets, the i-string rule, filtration layers, quotient structure.
+
+The string and filtration verdicts are ``demazure._string_rule``'s, read
+through ``conftest.string_rule``; the i-strings as lists, the quotient
+check and the reduced words of an element come from the test references
+``string_reference`` and ``weyl_reference``.
+"""
 
 import random
 from array import array
 
 import pytest
 
-from conftest import tampered
-from qcrystal.demazure import (_partition_error, _saturate, demazure_crystal, demazure_subsets,
-                               extremal_element, extremal_weights,
-                               filtration_layers, i_strings, quotient_strings,
-                               reduced_word_independence,
-                               verify_filtration_structure,
-                               verify_string_property)
-from qcrystal.root_data import (apply_word, canonical_word, cartan_datum,
-                                longest_word, weyl_group)
+from conftest import by_word, string_rule, tampered
+from qcrystal.demazure import (_partition_error, _saturate, demazure_crystal,
+                               extremal_element, extremal_weights)
+from qcrystal.root_data import apply_word, cartan_datum, longest_word, weyl_group
+from string_reference import i_strings, quotient_strings
+from weyl_reference import all_reduced_words
 
 A1 = cartan_datum("A1")
 A2 = cartan_datum("A2")
@@ -99,11 +102,13 @@ def test_reduced_word_independence(graph_of):
     for name in ("A2", "B2"):
         graph = graph_of(name, (1, 1))
         for w in weyl_group(graph.datum):
-            ok, witness = reduced_word_independence(graph, w)
-            assert ok, witness
+            words = all_reduced_words(graph.datum, w)
+            subsets = {demazure_crystal(graph, u).members for u in words}
+            assert len(subsets) == 1, (w, words)
 
 
 def test_i_strings_examples(graph_of):
+    # the reference strings that the differential tests intersect
     chain = graph_of("A1", (2,))
     strings = i_strings(chain, 1)
     assert len(strings) == 1 and strings[0].length == 2
@@ -120,6 +125,7 @@ def test_i_strings_examples(graph_of):
 def test_i_strings_partition(graph_of):
     graph = graph_of("B2", (1, 1))
     for i in graph.indices():
+        assert _partition_error(graph, i) is None
         seen = [b for s in i_strings(graph, i) for b in s.members]
         assert sorted(seen) == list(graph.all_ids())
         for s in i_strings(graph, i):
@@ -169,18 +175,17 @@ def test_saturate_is_reachability_on_any_i_column():
 
 
 def test_cyclic_i_edges_raise(graph_of):
-    # A2 (1,1) has the 1-string 2 -> 3 -> 5; sending 5 back to 3 makes a cycle.
-    # i_strings raises _partition_error's message; saturation is plain
-    # reachability, so it ends on the cycle and returns the closure, which the
-    # edge 5 -> 3 leaves as it was
+    # A2 (1,1) has the 1-string 2 -> 3 -> 5; sending 5 back to 3 makes a cycle,
+    # which _partition_error names; saturation is plain reachability, so it
+    # ends on the cycle and returns the closure, which the edge 5 -> 3 leaves
+    # as it was
     graph = graph_of("A2", (1, 1))
     cyclic = tampered(graph, graph.edges | {(5, 1): 3})
-    with pytest.raises(RuntimeError, match="element 2 does not end within 8 steps") as raised:
-        i_strings(cyclic, 1)
-    assert _partition_error(cyclic, 1) == str(raised.value)
+    assert _partition_error(cyclic, 1) == ("the 1-string below element 2 does not end "
+                                           "within 8 steps: the 1-edges contain a cycle")
     for word in ((1, 2), (2, 1, 2)):
         assert demazure_crystal(cyclic, word).members == demazure_crystal(graph, word).members
-    (subsets, witness), (expected, _) = demazure_subsets(cyclic), demazure_subsets(graph)
+    (subsets, _, witness), (expected, _, _) = by_word(cyclic), by_word(graph)
     assert witness is None
     assert {w: dc.members for w, dc in subsets.items()} == {
         w: dc.members for w, dc in expected.items()}
@@ -197,7 +202,7 @@ def test_string_property_cases(graph_of):
     mixed = demazure_crystal(graph, (1,))
     for i in (1, 2):
         for dc in (full, single, mixed):
-            ok, witness = verify_string_property(dc, i)
+            ok, witness = string_rule(dc, i)[0]
             assert ok, witness
     # the mixed case really mixes intersection kinds (not all-full, not all-empty)
     kinds = set()
@@ -218,23 +223,8 @@ def test_string_property_all_words(graph_of):
         for w in weyl_group(graph.datum):
             dc = demazure_crystal(graph, w)
             for i in graph.indices():
-                ok, witness = verify_string_property(dc, i)
+                ok, witness = string_rule(dc, i)[0]
                 assert ok, witness
-
-
-def test_filtration_layers_examples(graph_of):
-    chain = graph_of("A1", (2,))
-    full = demazure_crystal(chain, (1,))
-    assert set(filtration_layers(full, 1)) == {2}
-
-    adj = graph_of("A2", (1, 1))
-    layers = filtration_layers(demazure_crystal(adj, longest_word(A2)), 1)
-    assert {1, 2} <= set(layers) and all(layers.values())
-    # the third layer is the zero-weight fixed point of the 1-strings
-    assert set(layers) == {0, 1, 2} and len(layers[0]) == 1
-
-    trivial = graph_of("A2", (0, 0))
-    assert set(filtration_layers(demazure_crystal(trivial, ()), 1)) == {0}
 
 
 def test_filtration_structure(graph_of):
@@ -243,20 +233,19 @@ def test_filtration_structure(graph_of):
         for w in weyl_group(graph.datum):
             dc = demazure_crystal(graph, w)
             for i in graph.indices():
-                ok, witness = verify_filtration_structure(dc, i)
+                ok, witness = string_rule(dc, i)[1]
                 assert ok, witness
 
 
 def test_filtration_singleton_carries_positive_weight(graph_of):
-    # B_e(lambda) with lambda strictly dominant: one singleton per index,
-    # sitting at weight coordinate lambda_i = l > 0
+    # B_e(lambda) with lambda strictly dominant: one singleton layer per
+    # index, the top of its i-string, at weight coordinate lambda_i = l > 0
     graph = graph_of("B2", (1, 1))
     base = demazure_crystal(graph, ())
+    assert base.members == {0}
     for i in graph.indices():
-        layers = filtration_layers(base, i)
-        assert set(layers) == {1}
-        (b,) = layers[1]
-        assert b == 0 and graph.weight(b)[i - 1] == 1
+        assert graph.eps(0, i) + graph.phi(0, i) == graph.weight(0)[i - 1] == 1
+        assert string_rule(base, i) == ((True, None), (True, None))
 
 
 def test_quotient_strings_cases(graph_of):
@@ -283,22 +272,9 @@ def test_quotient_strings_along_recursion(graph_of):
             assert diff == big.members - small.members
 
 
-def test_quotient_strings_precondition(graph_of):
-    graph = graph_of("A2", (1, 1))
-    big = demazure_crystal(graph, (1, 2))
-    small = demazure_crystal(graph, (2,))
-    # wrong letter
-    with pytest.raises(ValueError):
-        quotient_strings(big, small, 2)
-    # works with the right letter
-    diff, witness = quotient_strings(big, small, 1)
-    assert witness is None
-
-
 def test_sizes_independent_of_word_and_increasing(graph_of):
     graph = graph_of("B2", (1, 1))
     datum = graph.datum
-    from qcrystal.root_data import all_reduced_words
     for w in weyl_group(datum):
         sizes = {len(demazure_crystal(graph, u)) for u in all_reduced_words(datum, w)}
         assert len(sizes) == 1

@@ -4,8 +4,9 @@
 columns (a ``CrystalElement`` per element and (b, i)-keyed edge and parent
 dicts) and the ``run_verify`` that held every Demazure subset and character
 at once.  Generated crystals, hand-tampered graphs and the ``verify`` rows
-are diffed against it, and the string checks must reject the tampers that
-``i_strings`` rejects.
+are diffed against it, and ``demazure._partition_error``, which guards the
+string rule, must refuse the tampers that the reference's ``i_strings``
+rejects, with its message.
 """
 
 import pytest
@@ -14,10 +15,7 @@ import dict_graph_reference as ref
 from conftest import tampered
 from qcrystal import cli
 from qcrystal.crystal import verify_normal
-from qcrystal.demazure import (demazure_crystal, i_strings,
-                               verify_filtration_structure,
-                               verify_string_property, verify_strings)
-from qcrystal.root_data import weyl_group
+from qcrystal.demazure import _partition_error
 from test_integer_kernel import INT_STEP_CASES
 from test_weak_order import ACCEPTANCE
 
@@ -100,14 +98,14 @@ def test_verify_rows_match_all_levels_pass(name, lam, inject):
 @pytest.mark.parametrize("tamper", ["cut", "overlapping"])
 def test_string_checks_raise_as_i_strings_does(tamper, graph_of):
     # the string rule reads strings off the columns, so it must not judge
-    # i-edges that ``i_strings`` rejects as a partition
+    # i-edges that the reference's ``i_strings`` rejects as a partition:
+    # ``_partition_error`` refuses them with the reference's message
     graph = graph_of("A2", (1, 1))
-    bad = tampered(graph, _tampered_edges(graph)[tamper])
+    edges = _tampered_edges(graph)[tamper]
+    bad = ref.CrystalGraph(graph.datum, graph.highest_weight, ref.records(graph),
+                           edges, graph.denominator)
     with pytest.raises(RuntimeError) as expected:
-        i_strings(bad, 1)
-    for w in weyl_group(bad.datum):
-        dc = demazure_crystal(bad, w)
-        for check in (verify_string_property, verify_filtration_structure, verify_strings):
-            with pytest.raises(RuntimeError) as raised:
-                check(dc, 1)
-            assert str(raised.value) == str(expected.value)
+        ref.i_strings(bad, 1)
+    columns = tampered(graph, edges)
+    assert _partition_error(columns, 1) == str(expected.value)
+    assert _partition_error(columns, 2) is None

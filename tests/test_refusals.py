@@ -5,7 +5,8 @@ and the ``graph_of`` fixture that must raise; the internal invariants
 (``weyl_dimension``'s and Freudenthal's remainders, a non-integral endpoint
 height, the generation cap) are reached by monkeypatching the helper each
 one guards.  Two witnesses that a check returns instead of raising are
-pinned below the refusals.
+pinned below the refusals, one of them that of the test reference
+``string_reference.quotient_strings``.
 """
 
 from fractions import Fraction
@@ -16,10 +17,10 @@ from conftest import tampered
 from qcrystal import character, crystal, qarith, rank_one, root_data
 from qcrystal.character import FormalCharacter, verify_demazure_character
 from qcrystal.crystal import PathKernelError, ResourceCapError
-from qcrystal.demazure import (DemazureCrystal, demazure_crystal, extremal_element,
-                               quotient_strings)
+from qcrystal.demazure import DemazureCrystal, demazure_crystal, extremal_element
 from qcrystal.qarith import ExactDivisionError, LaurentPoly
 from qcrystal.root_data import CartanDatum, cartan_datum
+from string_reference import quotient_strings
 
 A2 = cartan_datum("A2")
 
@@ -57,9 +58,6 @@ CHARACTER = {
         _patched(character, "_coroots", lambda datum: ((1, 1),),
                  lambda: character.weyl_dimension(A2, (1, 0))),
         ArithmeticError, "non-integral Weyl dimension: root enumeration bug"),
-    "Demazure characters not dominant": (
-        lambda mp, g: character.demazure_characters(A2, (1, -1)),
-        ValueError, "Demazure characters need a dominant weight, got (1, -1)"),
     "dimension formula not dominant": (
         lambda mp, g: character.weyl_dimension(A2, [-1, 0]),
         ValueError, "dimension formula needs a dominant weight, got (-1, 0)"),
@@ -115,10 +113,6 @@ DEMAZURE = {
     "extremal element of the wrong weight": (
         lambda mp, g: extremal_element(tampered(_a2(g), {**_a2(g).edges, (0, 1): 2}), (1,)),
         RuntimeError, "extremal element has the wrong weight"),
-    "subsets of two crystals": (
-        lambda mp, g: quotient_strings(demazure_crystal(_a2(g), (1,)),
-                                       demazure_crystal(tampered(_a2(g)), ()), 1),
-        ValueError, "subsets live in different crystals"),
 }
 
 
@@ -180,8 +174,7 @@ ROOT_DATA.update({
     f"{query} letter out of range": (
         lambda mp, g, query=query: getattr(root_data, query)(A2, (1, 5, 0)),
         IndexError, "simple-root index 0 out of range 1..2")
-    for query in ("canonical_word", "is_reduced", "left_descents", "element_key",
-                  "all_reduced_words")})
+    for query in ("canonical_word", "is_reduced", "left_descents", "element_key")})
 
 
 @pytest.mark.parametrize("name", ROOT_DATA)

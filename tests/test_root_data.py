@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcrystal.root_data import (CartanDatum, all_reduced_words, apply_word,
-                                canonical_word, cartan_datum, dominance_leq,
-                                element_key, is_reduced, longest_word,
-                                positive_roots, reflect, rho, simple_root,
-                                supported_types, weyl_group, weyl_order)
+from qcrystal.root_data import (CartanDatum, apply_word, canonical_word,
+                                cartan_datum, dominance_leq, element_key,
+                                is_reduced, longest_word, positive_roots,
+                                reflect, rho, simple_root, supported_types,
+                                weyl_group, weyl_order)
+from weyl_reference import all_reduced_words
 
 WEYL_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B3": 48,
                "C3": 48, "D4": 192, "G2": 12}
@@ -156,6 +157,7 @@ def test_is_reduced_examples():
 
 
 def test_all_reduced_words_small():
+    # the test reference's listing, which the per-word tests read
     d = cartan_datum("A2")
     assert all_reduced_words(d, (1, 2, 1)) == ((1, 2, 1), (2, 1, 2))
     assert all_reduced_words(d, ()) == ((),)
@@ -167,6 +169,7 @@ def test_all_reduced_words_small():
 
 
 def test_all_reduced_words_enumerates_large_groups():
+    # every word the test reference lists is reduced with w0's point, by root_data
     for name, count in (("D4", 2316), ("A4", 768)):
         d = cartan_datum(name)
         words = all_reduced_words(d, longest_word(d))

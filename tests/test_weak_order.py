@@ -1,10 +1,11 @@
 """The weak-order dynamic program behind ``verify``, against per-word references.
 
-``demazure_subsets`` and ``demazure_characters`` build every B_w(lambda)
-and every D_w(e^lambda) in one pass over the weak order; the string checks
-read the subset's strings off the crystal's child and parent columns.  Each
-is compared here with the single-word or intersection-loop form it replaced
-in ``run_verify``.
+The orbit walks of ``verify`` build every B_w(lambda) and every
+D_w(e^lambda) in one pass over W.lambda (read by word through
+``conftest.by_word``); ``demazure._string_rule`` reads the subset's strings
+off the crystal's child and parent columns.  Each is compared here with the
+single-word, every-reduced-word or intersection-loop form it replaced in
+``run_verify``.
 """
 
 import dataclasses
@@ -14,16 +15,13 @@ import logging
 import pytest
 
 import qcrystal.demazure as demazure_module
-from conftest import tampered
+from conftest import by_word, string_rule, tampered
 from qcrystal import cli
-from qcrystal.character import (FormalCharacter, apply_demazure_word,
-                                demazure_characters)
-from qcrystal.demazure import (_partition_error, demazure_crystal, demazure_subsets, i_strings,
-                               reduced_word_independence,
-                               verify_filtration_structure,
-                               verify_string_property, verify_strings)
+from qcrystal.character import FormalCharacter, apply_demazure_word
+from qcrystal.demazure import _partition_error, demazure_crystal
 from qcrystal.root_data import cartan_datum, left_descents, weyl_group, weyl_order
-from string_reference import filtration_structure, string_property
+from string_reference import filtration_structure, i_strings, string_property
+from weyl_reference import all_reduced_words
 
 ACCEPTANCE = [("A1", (4,)), ("A2", (1, 0)), ("A2", (1, 1)), ("A2", (2, 1)),
               ("B2", (1, 0)), ("B2", (1, 1)), ("A3", (1, 0, 1)), ("G2", (1, 0))]
@@ -56,8 +54,7 @@ def test_left_descents():
 def test_subsets_and_characters_match_single_words(name, lam, graph_of):
     graph = graph_of(name, lam)
     datum = graph.datum
-    subsets, witness = demazure_subsets(graph)
-    chars = demazure_characters(datum, lam)
+    subsets, chars, witness = by_word(graph)
     group = weyl_group(datum)
     assert witness is None
     assert tuple(subsets) == group and tuple(chars) == group
@@ -68,21 +65,25 @@ def test_subsets_and_characters_match_single_words(name, lam, graph_of):
         assert chars[w] == apply_demazure_word(datum, w, top)
 
 
+def _word_dependent(graph):
+    """The w in W whose reduced words do not all cut the same subset."""
+    return [w for w in weyl_group(graph.datum)
+            if len({demazure_crystal(graph, u).members
+                    for u in all_reduced_words(graph.datum, w)}) > 1]
+
+
 @pytest.mark.parametrize("name,lam", SMALL_W)
 def test_independence_verdict_matches_all_reduced_words(name, lam, graph_of):
     graph = graph_of(name, lam)
     assert weyl_order(graph.datum) <= 48
-    _, witness = demazure_subsets(graph)
-    per_word = [w for w in weyl_group(graph.datum)
-                if not reduced_word_independence(graph, w)[0]]
-    assert witness is None and per_word == []
+    witness = by_word(graph)[2]
+    assert witness is None and _word_dependent(graph) == []
 
 
 def test_independence_verdict_on_tampered_graph(graph_of):
     graph = _tampered_a2(graph_of)
-    _, witness = demazure_subsets(graph)
-    per_word = [w for w in weyl_group(graph.datum)
-                if not reduced_word_independence(graph, w)[0]]
+    witness = by_word(graph)[2]
+    per_word = _word_dependent(graph)
     assert per_word == [(1, 2, 1)]
     assert witness == ((1, 2, 1), ("left descents disagree", 1, 2, 4))
     left = demazure_crystal(graph, (1, 2, 1)).members
@@ -113,37 +114,23 @@ def test_string_checks_match_intersection_loops(name, lam, graph_of):
     for w in weyl_group(graph.datum):
         for dc in _variants(demazure_crystal(graph, w)):
             for i in graph.indices():
-                expected = string_property(dc, i)
-                assert verify_string_property(dc, i) == expected, (w, i)
-                assert verify_filtration_structure(dc, i) == filtration_structure(dc, i)
-                failures += not expected[0]
+                expected = string_property(dc, i), filtration_structure(dc, i)
+                assert string_rule(dc, i) == expected, (w, i)
+                failures += not expected[0][0]
     # the corrupted variants do exercise the failure witnesses
     assert failures > 0 or len(graph) == 1
 
 
 def test_verify_builds_each_string_partition_once(monkeypatch, capsys):
-    calls, listed = [], []
+    calls = []
 
     def counted(graph, i):
         calls.append(i)
         return _partition_error(graph, i)
 
     monkeypatch.setattr(demazure_module, "_partition_error", counted)
-    monkeypatch.setattr(demazure_module, "i_strings", lambda graph, i: listed.append(i))
     assert cli.main(["verify", "--type", "D4", "--weight", "1,0,0,0"]) == cli.EXIT_OK
-    assert sorted(calls) == [1, 2, 3, 4] and listed == []
-
-
-def test_verify_builds_no_string_objects(monkeypatch, capsys):
-    def refused(*args, **kwargs):
-        raise AssertionError("verify built an IString")
-
-    monkeypatch.setattr(demazure_module, "IString", refused)
-    assert cli.main(["verify", "--type", "D4", "--weight", "1,1,1,1"]) == cli.EXIT_OK
-    assert "result: PASS" in capsys.readouterr().out
-    argv = ["verify", "--type", "D4", "--weight", "1,1,1,1", "--inject-failure"]
-    assert cli.main(argv) == cli.EXIT_VERIFY_FAILED
-    assert "result: FAIL" in capsys.readouterr().out
+    assert sorted(calls) == [1, 2, 3, 4]
 
 
 def test_verify_logs_no_sampling_warnings(caplog, capsys):
@@ -170,13 +157,12 @@ def test_i_strings_rejects_tampered_edges(graph_of):
     cut = graph.edges
     del cut[(3, 1)]
     merged = graph.edges | {(0, 1): 3}
-    for edges in (cut, merged):
+    for edges, covered in ((cut, 7), (merged, 9)):
         bad = tampered(graph, edges)
-        with pytest.raises(RuntimeError, match="1-strings cover") as raised:
-            i_strings(bad, 1)
-        assert _partition_error(bad, 1) == str(raised.value)
-        assert len(i_strings(bad, 2)) == len(i_strings(graph, 2))
+        assert _partition_error(bad, 1) == (f"the 1-strings cover {covered} element slots "
+                                            "of 8: the 1-edges do not form a normal crystal")
         assert _partition_error(bad, 2) is None
+        assert i_strings(bad, 2) == i_strings(graph, 2)
     assert [_partition_error(graph, i) for i in graph.indices()] == [None, None]
 
 
@@ -186,9 +172,8 @@ def test_i_strings_rejects_overlapping_strings(graph_of):
     graph = graph_of("A2", (1, 1))
     edges = graph.edges | {(0, 1): 3}
     del edges[(6, 1)]
-    with pytest.raises(RuntimeError, match="element 3 lies in two 1-strings") as raised:
-        i_strings(tampered(graph, edges), 1)
-    assert _partition_error(tampered(graph, edges), 1) == str(raised.value)
+    assert _partition_error(tampered(graph, edges), 1) == (
+        "element 3 lies in two 1-strings: the 1-edges do not form a normal crystal")
     assert _partition_error(tampered(graph, edges), 2) is None
 
 
@@ -206,7 +191,7 @@ def test_string_checks_match_intersection_loops_on_a_lone_top(name, lam, weight,
         for dc in _variants(demazure_crystal(lone_top, w)):
             for i in lone_top.indices():
                 expected = string_property(dc, i), filtration_structure(dc, i)
-                assert verify_strings(dc, i) == expected, (w, i)
+                assert string_rule(dc, i) == expected, (w, i)
                 layered, witness = expected[1]
                 if not layered:
                     rules.add(witness[0])

@@ -5,21 +5,24 @@
 ``reflect``.  For every type the functions of ``root_data`` must agree
 with them on every element of W, on every element times one more letter
 and on every word of length at most 3.  |W| is read off the positive roots
-by the Poincare identity, and no command of the CLI lists W.
+by the Poincare identity.  No command of the CLI lists W, or calls any
+other public name that only the library offers (``LIBRARY_ONLY``).
+``all_reduced_words``, which lists every reduced word of an element, lives
+in the reference alone and is checked against brute force here.
 """
 
 import itertools
+import sys
 from collections import Counter
 
 import pytest
 
 import weyl_reference as ref
 import qcrystal
-from qcrystal import character, cli, crystal, demazure, root_data
+from qcrystal import cli, crystal, root_data
 from qcrystal.qarith import LaurentPoly, one
-from qcrystal.root_data import (_coset_words, _Orbit, all_reduced_words,
-                                canonical_word, cartan_datum, element_key,
-                                is_reduced, left_descents, longest_word,
+from qcrystal.root_data import (_coset_words, _Orbit, canonical_word, cartan_datum,
+                                element_key, is_reduced, left_descents, longest_word,
                                 positive_roots, rho, supported_types, weyl_group,
                                 weyl_orbit, weyl_order)
 
@@ -61,7 +64,7 @@ def test_all_reduced_words_are_the_words_of_the_element(name):
             by_point.setdefault((k, ref.element_key(datum, word)), []).append(word)
     for w in weyl_group(datum):
         expected = sorted(by_point[len(w), ref.element_key(datum, w)])
-        assert all_reduced_words(datum, w) == tuple(expected), w
+        assert ref.all_reduced_words(datum, w) == tuple(expected), w
 
 
 @pytest.mark.parametrize("name", TYPES)
@@ -103,21 +106,30 @@ def test_poincare_identity_counts_the_lengths(name):
 def _jobs(name, command):
     """argv lists of ``command`` at rho and at every fundamental weight of ``name``.
 
-    demazure and character run along w0 and along (1, ..., rank), verify
-    with and without --inject-failure.
+    crystal runs in every format, demazure and character along w0 and along
+    (1, ..., rank), verify with and without --inject-failure.
     """
     datum = cartan_datum(name)
     n = datum.rank
-    tails = ([[], ["--inject-failure"]] if command == "verify" else
-             [["--word", ",".join(map(str, w))]
-              for w in (ref.longest_word(datum), tuple(datum.indices()))])
+    if command == "crystal":
+        tails = [["--format", fmt] for fmt in ("json", "dot", "text")]
+    elif command == "verify":
+        tails = [[], ["--inject-failure"]]
+    else:
+        tails = [["--word", ",".join(map(str, w))]
+                 for w in (ref.longest_word(datum), tuple(datum.indices()))]
     for lam in [rho(datum), *(tuple(int(j == i) for j in range(n)) for i in range(n))]:
         for tail in tails:
             yield [command, "--type", name, "--weight", ",".join(map(str, lam)), *tail]
 
 
-def _same_without_weyl_group(jobs, graph_of, monkeypatch, path):
-    """Each job writes the same bytes with the same exit code when ``weyl_group`` raises."""
+# public names that no command calls: the library offers them, the CLI must not need them
+LIBRARY_ONLY = ("weyl_group", "verify_demazure_character", "extremal_element",
+                "extremal_weights", "f_tilde", "e_tilde", "eps_phi", "straight_path")
+
+
+def _same_without_library_only_names(jobs, graph_of, monkeypatch, path):
+    """Each job writes the same bytes and exit code when the ``LIBRARY_ONLY`` names raise."""
     monkeypatch.setattr(cli, "generate_crystal",
                         lambda datum, lam, max_elements: graph_of(datum.name, lam))
 
@@ -128,11 +140,17 @@ def _same_without_weyl_group(jobs, graph_of, monkeypatch, path):
     jobs = list(jobs)
     expected = [run(argv) for argv in jobs]
 
-    def no_listing(datum):
-        raise AssertionError(f"the CLI listed the Weyl group of {datum.name}")
+    modules = [module for key, module in sys.modules.items()
+               if key == "qcrystal" or key.startswith("qcrystal.")]
+    for name in LIBRARY_ONLY:
+        def refused(*args, name=name, **kwargs):
+            raise AssertionError(f"the CLI called {name}")
 
-    for module in (root_data, demazure, character, qcrystal):  # wherever it is bound
-        monkeypatch.setattr(module, "weyl_group", no_listing)
+        original = getattr(qcrystal, name)
+        for module in modules:  # wherever it is bound
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, refused)
+        assert getattr(sys.modules[original.__module__], name) is refused
     for argv, outcome in zip(jobs, expected):
         assert run(argv) == outcome, argv
 
@@ -140,9 +158,17 @@ def _same_without_weyl_group(jobs, graph_of, monkeypatch, path):
 @pytest.mark.parametrize("command", ["demazure", "character"])
 @pytest.mark.parametrize("name", TYPES)
 def test_word_commands_list_no_weyl_group(name, command, graph_of, monkeypatch, tmp_path):
-    _same_without_weyl_group(_jobs(name, command), graph_of, monkeypatch, tmp_path / "out")
+    _same_without_library_only_names(_jobs(name, command), graph_of, monkeypatch,
+                                     tmp_path / "out")
 
 
 @pytest.mark.parametrize("name", TYPES)
 def test_verify_builds_no_weyl_table(name, graph_of, monkeypatch, tmp_path):
-    _same_without_weyl_group(_jobs(name, "verify"), graph_of, monkeypatch, tmp_path / "out")
+    _same_without_library_only_names(_jobs(name, "verify"), graph_of, monkeypatch,
+                                     tmp_path / "out")
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_crystal_command_calls_no_library_only_name(name, graph_of, monkeypatch, tmp_path):
+    _same_without_library_only_names(_jobs(name, "crystal"), graph_of, monkeypatch,
+                                     tmp_path / "out")

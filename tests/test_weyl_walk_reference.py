@@ -16,10 +16,10 @@ import re
 import pytest
 
 import weyl_walk_reference as ref
-from conftest import tampered
-from qcrystal import character, cli, demazure, root_data
-from qcrystal.character import FormalCharacter, demazure_characters, demazure_operator
-from qcrystal.demazure import _subset_levels, demazure_subsets
+from conftest import by_word, tampered
+from qcrystal import cli, root_data
+from qcrystal.character import FormalCharacter, demazure_operator
+from qcrystal.demazure import _subset_levels
 from qcrystal.root_data import (_coset_words, _orbit_walk, apply_word, cartan_datum,
                                 rho, supported_types, weyl_group)
 from test_dict_graph_reference import _outcome
@@ -76,20 +76,19 @@ def test_each_word_gets_the_subset_and_character_of_its_point(name, lam, graph_o
     for w, members in expected_subsets.items():
         o = orbit.index[apply_word(datum, w, lam)]
         assert subsets[o] == members and chars[o] == expected_chars[w], w
-    found, witness = demazure_subsets(graph)
+    found, found_chars, witness = by_word(graph)
     assert witness is None
     assert {w: dc.members for w, dc in found.items()} == expected_subsets
     assert all(dc.word == w and dc.graph is graph for w, dc in found.items())
-    assert demazure_characters(datum, lam) == expected_chars
+    assert found_chars == expected_chars
 
 
 def test_walk_visits_the_orbit_not_the_group(graph_of, monkeypatch):
     # D4 (0,1,0,0), the adjoint crystal: 24 points of W.lambda against |W| = 192
     graph = graph_of("D4", (0, 1, 0, 0))
     assert len(list(ref._subset_levels(graph))) == 192
-    for module, name in [(demazure, "weyl_group"), (demazure, "left_descents"),
-                         (character, "weyl_group")]:
-        monkeypatch.setattr(module, name, None)  # the walks must not call them
+    for name in ("weyl_group", "left_descents"):
+        monkeypatch.setattr(root_data, name, None)  # the walks must not call them
     coset = _coset_words(graph.orbit)
     assert len(list(_subset_levels(graph, *coset))) == len(graph.orbit.points) == 24
     assert len(list(_character_walk(graph.datum, graph.orbit, *coset))) == 24
@@ -117,7 +116,7 @@ def test_verify_computes_the_coset_words_once(graph_of, monkeypatch):
         calls.append(orbit)
         return _coset_words(orbit)
 
-    for module in (cli, demazure, character, root_data):
+    for module in (cli, root_data):
         monkeypatch.setattr(module, "_coset_words", counted)
     rows, ok = cli.run_verify(_job("A3", (0, 1, 0)))
     assert ok and len(calls) == 1 and calls[0] is graph.orbit

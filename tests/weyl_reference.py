@@ -7,7 +7,9 @@ rho's orbit keeping the least candidate word per element, and a
 depth-first search for ``weyl_orbit``.  Both, and the word functions on top
 of them, are kept here as written then, acting through ``reflect`` and
 ``apply_word`` only, so the differential tests in ``test_weyl_table.py``
-share no orbit search and no descent rule with the code they check.  Do
+share no orbit search and no descent rule with the code they check.
+``all_reduced_words`` lists every reduced word of an element off the same
+table; the tests read it to run a check over each word of an element.  Do
 not import it from ``src/``.
 """
 
@@ -72,6 +74,25 @@ def left_descents(datum, word):
         if len(down) < n:
             out[i] = down
     return out
+
+
+def all_reduced_words(datum, word):
+    """Every reduced word of the element of ``word``, sorted.
+
+    The words of w are (i,) + each word of s_i w over the left descents i
+    of w, read off the element table by length, memoized by w(rho).
+    """
+    table, memo = element_table(datum), {rho(datum): ((),)}
+
+    def rec(key):
+        if key not in memo:
+            n = len(table[key])
+            down = [reflect(datum, i, key) for i in datum.indices()]
+            memo[key] = tuple(sorted((i,) + u for i, v in enumerate(down, 1)
+                                     if len(table[v]) < n for u in rec(v)))
+        return memo[key]
+
+    return rec(element_key(datum, word))
 
 
 def weyl_orbit(datum, mu):

@@ -5,8 +5,9 @@ the crystal's own ``orbit``), ``_subset_levels`` and ``_character_levels``
 walked every element w of W in ``weyl_group`` order and compared the
 f_tilde_i closures of all left descents of each w, and ``run_verify``
 corrupted B_{w0} by its word.  The three functions below are that version,
-unchanged except that ``run_verify`` reads both walks from this module and
-hands ``cli._corrupt`` the graph and member set.
+unchanged except that ``run_verify`` reads both walks from this module,
+hands ``cli._corrupt`` the graph and member set, and raises
+``demazure._partition_error``'s message where it listed the i-strings.
 ``test_weyl_walk_reference.py`` diffs the orbit walk against it.  Do not
 import it from ``src/``.
 """
@@ -93,7 +94,9 @@ def run_verify(job):
     start = _phase("normal-crystal-relations", start)
 
     for i in indices:
-        demazure.i_strings(graph, i)  # raises unless the i-edges partition the crystal
+        error = demazure._partition_error(graph, i)
+        if error:  # the i-edges do not partition the crystal
+            raise RuntimeError(error)
     top_word = longest_word(datum)
     strings = filtration = independence = characters = None
     peak = 0
