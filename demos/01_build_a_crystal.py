@@ -3,6 +3,8 @@
 Run as: python3 demos/01_build_a_crystal.py
 """
 
+from fractions import Fraction
+
 import qcrystal as qc
 
 # Pick the adjoint-type crystal of A2: highest weight (1, 1), eight elements.
@@ -30,16 +32,15 @@ while (nxt := graph.f(b, 1)) is not None:
     chain.append(b)
 print("the 1-string through the top:", " -> ".join(map(str, chain)))
 
-# The same walk at the path level.  A crystal stores its paths as
-# (orbit index, length) int pairs over one common denominator
-# (graph.denominator); an LSPath shows them as exact Fraction displacement
-# vectors, and weights are their integral endpoints.
-path = qc.straight_path(datum, lam)
-print("\nstraight path:", path)
-lowered = qc.f_tilde(datum, 2, qc.f_tilde(datum, 1, path))
-print("after f_1 then f_2:", lowered, "-> weight", lowered.weight())
-print("eps/phi of that path per index:",
-      {i: qc.eps_phi(datum, i, lowered) for i in datum.indices()})
+# The path level.  A crystal keeps each path only as its maximal straight
+# runs: graph.runs[b] is one flat int tuple (o_1, L_1, o_2, L_2, ...), run k
+# being L_k / graph.denominator times the Weyl-orbit point
+# graph.orbit.points[o_k].  The weight is the endpoint of the path.
+b = graph.f(graph.f(0, 1), 2)
+print(f"\nf_2 f_1 of the top is element {b}, with runs {graph.runs[b]}")
+for o, length in zip(graph.runs[b][::2], graph.runs[b][1::2]):
+    print(f"  {Fraction(length, graph.denominator)} * {graph.orbit.points[o]}")
+print(f"weight {graph.weight_of[b]}, eps {graph.eps_of[b]}, phi {graph.phi_of[b]}")
 
 # Normality bundles the bookkeeping relations: weight = phi - eps per
 # index, and eps/phi move by exactly one along every lowering edge.

@@ -16,9 +16,8 @@ no floats anywhere.
 from .character import (FormalCharacter, apply_demazure_word, char_of,
                         demazure_operator, verify_demazure_character,
                         weyl_character, weyl_dimension)
-from .crystal import (DEFAULT_MAX_ELEMENTS, CrystalGraph, LSPath,
-                      PathKernelError, ResourceCapError, e_tilde, eps_phi,
-                      f_tilde, generate_crystal, straight_path, verify_normal)
+from .crystal import (DEFAULT_MAX_ELEMENTS, CrystalGraph, PathKernelError,
+                      ResourceCapError, generate_crystal, verify_normal)
 from .demazure import (DemazureCrystal, demazure_crystal, extremal_element,
                        extremal_weights)
 from .qarith import (ExactDivisionError, LaurentPoly, bar, eval_at_one,

@@ -20,9 +20,7 @@ o_k.  Parallel runs share an orbit index, s_i is a table lookup and a
 split one divmod; a height minimum, split or endpoint off the grid raises
 PathKernelError.  The orbit and its reflection and pairing tables come
 from ``root_data._Orbit``, the one Weyl-orbit search of weights, which the
-Weyl group is read off as well.  The public LSPath keeps exact Fraction
-coordinates and is mapped onto the pairs of its own shape for each
-operator call, with the tables of a shape cached across calls.
+Weyl group is read off as well.
 
 A crystal is stored as columns indexed by element id rather than as one
 object per element: a list of path tuples, lists of weight, eps and phi
@@ -36,16 +34,14 @@ dict built on each access.
 """
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
-from itertools import chain, groupby
+from functools import cache
+from itertools import chain
 from math import lcm
 from operator import sub
 
 from .character import weyl_dimension
-from .root_data import (_check_dominant, _check_index, _coroots, _Orbit,
-                        dominant_representative, simple_root)
+from .root_data import _check_index, _coroots, _Orbit, simple_root
 
 DEFAULT_MAX_ELEMENTS = 200_000
 
@@ -56,51 +52,6 @@ class ResourceCapError(RuntimeError):
 
 class PathKernelError(ValueError):
     """A path left the 1/D grid of its crystal: the denominator bound failed."""
-
-
-def _direction(step):
-    """A nonzero step over the size of its first nonzero coordinate."""
-    lead = abs(next(filter(None, step)))
-    return tuple(x / lead for x in step)
-
-
-def _canonical_steps(steps):
-    """Drop zero steps and merge positively parallel neighbours: equal directions."""
-    runs = groupby(filter(any, steps), key=_direction)
-    return tuple(tuple(map(sum, zip(*group))) for _, group in runs)
-
-
-@dataclass(frozen=True)
-class LSPath:
-    """A path from the origin, as displacements of its maximal straight runs."""
-
-    steps: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        steps = (tuple(Fraction(x) for x in step) for step in self.steps)
-        object.__setattr__(self, "steps", _canonical_steps(steps))
-
-    def endpoint(self):
-        return tuple(map(sum, zip(*self.steps)))
-
-    def weight(self, rank=None):
-        """Endpoint of the path; integral for every crystal path."""
-        end = self.endpoint() or (0,) * (rank or 0)
-        if any(x.denominator != 1 for x in end):
-            raise ValueError(f"path endpoint {end} is not an integral weight")
-        return tuple(int(x) for x in end)
-
-    def sort_key(self):
-        return self.steps
-
-    def __repr__(self):
-        pretty = [tuple(str(x) for x in s) for s in self.steps]
-        return f"LSPath({pretty!r})"
-
-
-def straight_path(datum, lam):
-    """The highest-weight element: one straight segment to lambda."""
-    return LSPath((_check_dominant(datum, lam, "straight_path needs"),))
 
 
 def _denominator(datum, lam):
@@ -175,70 +126,6 @@ def _string_data(denom, h, m):
                               "not a crystal path")
     eps = -m // denom
     return end, eps, end + eps
-
-
-# -- public operators on LSPath -------------------------------------------
-
-
-@lru_cache(maxsize=16)
-def _grid_tables(datum, lam):
-    """(denominator, orbit tables) of a shape, shared by calls on paths of that shape."""
-    return _denominator(datum, lam), _Orbit(datum, lam)
-
-
-def _on_grid(datum, i, path):
-    """(orbit tables, denominator, pair path) of a path, on the grid of its shape.
-
-    Each step of an LS path is c * tau(lambda) with c > 0 and tau in W, so
-    its shape lambda is the sum of the dominant representatives c * lambda.
-    """
-    _check_index(datum, i)
-    doms = [dominant_representative(datum, step) for step in path.steps]
-    lam = tuple(map(sum, zip(*doms))) or (0,) * datum.rank
-    if any(x.denominator != 1 for x in lam):
-        raise ValueError(f"path shape {tuple(map(str, lam))} is not an integral weight")
-    lam = tuple(map(int, lam))
-    denom, orbit = _grid_tables(datum, lam)
-    runs = ()
-    for step, dom in zip(path.steps, doms):
-        c = sum(dom) / sum(lam)
-        if (c * denom).denominator != 1:
-            raise ValueError(f"path {path} has a step off the 1/{denom} grid of its shape")
-        o = orbit.index.get(tuple(x / c for x in step))
-        if o is None:
-            raise ValueError(f"path {path} has a step that is no positive multiple "
-                             f"of a Weyl conjugate of its shape {lam}")
-        runs += (o, int(c * denom))
-    return orbit, denom, runs
-
-
-def _from_grid(denom, steps):
-    return LSPath(tuple(tuple(Fraction(x, denom) for x in s) for s in steps))
-
-
-def f_tilde(datum, i, path):
-    """Lowering operator: weight drops by alpha_i, or None if phi_i = 0."""
-    orbit, denom, runs = _on_grid(datum, i, path)
-    runs = _lower(orbit.pair[i - 1], orbit.refl[i - 1], denom, runs)
-    return None if runs is None else _from_grid(denom, orbit.steps(runs))
-
-
-def e_tilde(datum, i, path):
-    """Raising operator, inverse to f_tilde: None if eps_i = 0.
-
-    Lowering conjugated by path reversal t -> 1 - t, which negates each
-    run (heights read off ``neg``; s_i commutes with negation).
-    """
-    orbit, denom, runs = _on_grid(datum, i, path)
-    runs = _lower(orbit.neg[i - 1], orbit.refl[i - 1], denom, _reversed_runs(runs))
-    return None if runs is None else _from_grid(denom, orbit.steps(_reversed_runs(runs)))
-
-
-def eps_phi(datum, i, path):
-    """(eps_i, phi_i) read off the i-height function of the path."""
-    orbit, denom, runs = _on_grid(datum, i, path)
-    _, eps, phi = _string_data(denom, *_run_heights(orbit.pair[i - 1], denom, runs))
-    return eps, phi
 
 
 def _follow(columns, b, i):
@@ -326,10 +213,6 @@ class CrystalGraph:
 
     def weight(self, b):
         return self.weight_of[self._id(b)]
-
-    def path(self, b):
-        """The path of element b as an LSPath with exact Fraction steps."""
-        return _from_grid(self.denominator, self.orbit.steps(self.runs[self._id(b)]))
 
     def all_ids(self):
         return range(len(self.runs))

@@ -122,21 +122,28 @@ def simple_root(datum, i):
     return tuple(datum.cartan[j][i - 1] for j in range(datum.rank))
 
 
+def _step(datum, i, mu):
+    """s_i(mu) for a checked index i and weight mu: alpha_i is column i of the Cartan matrix."""
+    c = mu[i - 1]
+    return tuple([m - c * row[i - 1] for m, row in zip(mu, datum.cartan)]) if c else tuple(mu)
+
+
 def reflect(datum, i, mu):
     """Simple reflection s_i(mu) = mu - <h_i, mu> alpha_i."""
     _check_index(datum, i)
     _check_length(datum, mu)
-    c = mu[i - 1]
-    if c == 0:
-        return tuple(mu)
-    return tuple(m - c * row[i - 1] for m, row in zip(mu, datum.cartan))
+    return _step(datum, i, mu)
 
 
 def apply_word(datum, word, mu):
-    """Act by s_{i_1} ... s_{i_k} on mu, rightmost letter first."""
+    """Act by s_{i_1} ... s_{i_k} on mu, rightmost letter first.
+
+    The weight is checked once, and each letter once as it is applied.
+    """
     _check_length(datum, mu)
     for i in reversed(word):
-        mu = reflect(datum, i, mu)
+        _check_index(datum, i)
+        mu = _step(datum, i, mu)
     return mu
 
 
@@ -150,7 +157,7 @@ def is_dominant(mu):
 
 
 def _check_length(datum, mu):
-    """A weight has rank-many coordinates (ints, or Fractions on a path grid)."""
+    """A weight has rank-many coordinates."""
     if len(mu) != datum.rank:
         raise ValueError(f"weight length {len(mu)} does not match rank {datum.rank}")
 
@@ -208,10 +215,6 @@ class _Orbit:
     def run(self, o, length):
         return tuple(length * x for x in self.points[o])
 
-    def steps(self, path):
-        """The runs of a path decoded to scaled int steps, L * points[o] each."""
-        return tuple(map(self.run, path[::2], path[1::2]))
-
 
 def _descent(mu):
     """The least i with <mu, h_i> < 0, or 0: at w(lambda), w shortest, w's least left descent."""
@@ -223,7 +226,7 @@ def _word_of(datum, mu):
     word = []
     while i := _descent(mu):
         word.append(i)
-        mu = reflect(datum, i, mu)
+        mu = _step(datum, i, mu)
     return tuple(word)
 
 
@@ -301,7 +304,7 @@ def left_descents(datum, word):
     A left descent of w is an i with length(s_i w) < length(w): <w(rho), h_i> < 0.
     """
     mu = element_key(datum, word)
-    return {i: _word_of(datum, reflect(datum, i, mu)) for i, c in enumerate(mu, 1) if c < 0}
+    return {i: _word_of(datum, _step(datum, i, mu)) for i, c in enumerate(mu, 1) if c < 0}
 
 
 def _solve_root_coords(datum, mu):
@@ -397,7 +400,7 @@ def dominant_representative(datum, mu):
     mu = tuple(mu)
     _check_length(datum, mu)
     while i := _descent(mu):
-        mu = reflect(datum, i, mu)
+        mu = _step(datum, i, mu)
     return mu
 
 

@@ -8,8 +8,11 @@ character held at once, and each string check counting partial strings on
 its own.  The code below is that version, unchanged except that it reads
 the path kernel from ``qcrystal.crystal`` and keeps the ``CrystalElement``
 record here, since the library graph has none; ``records`` reads them off
-a columnar graph.  ``char_of`` is kept here too, in its form that called
-``graph.weight`` per member, since the library's reads a weight column.
+a columnar graph, and ``CrystalElement.steps`` decodes its runs with
+``fraction_kernel.grid_steps``.  Like the library graph, it has no
+``Fraction`` path accessor.  ``char_of`` is kept here too, in its form
+that called ``graph.weight`` per member, since the library's reads a
+weight column.
 On i-edges that are no partition it reports as the library does:
 ``_saturate`` is plain reachability, and ``run_verify`` fails the string
 and filtration rows with the message of its ``i_strings`` instead of
@@ -26,12 +29,12 @@ from functools import cache
 from qcrystal.character import (FormalCharacter, demazure_operator, weyl_character,
                                 weyl_dimension)
 from qcrystal.crystal import (DEFAULT_MAX_ELEMENTS, ResourceCapError,
-                              _denominator, _from_grid, _lower, _lower_runs,
-                              _Orbit, _reversed_runs, _run_heights,
-                              _string_data)
+                              _denominator, _lower, _lower_runs, _Orbit,
+                              _reversed_runs, _run_heights, _string_data)
 from qcrystal.demazure import DemazureCrystal
 from qcrystal.root_data import (_check_rank, cartan_datum, left_descents,
                                 longest_word, weyl_group)
+from fraction_kernel import grid_steps
 from string_reference import IString
 
 log = logging.getLogger(__name__)
@@ -49,7 +52,7 @@ class CrystalElement:
 
     @property
     def steps(self):
-        return self.orbit.steps(self.runs)
+        return grid_steps(self.orbit, self.runs)
 
 
 def char_of(members, graph):
@@ -104,10 +107,6 @@ class CrystalGraph:
 
     def weight(self, b):
         return self.elements[b].weight
-
-    def path(self, b):
-        """The path of element b as an LSPath with exact Fraction steps."""
-        return _from_grid(self.denominator, self.elements[b].steps)
 
     def all_ids(self):
         return range(len(self.elements))

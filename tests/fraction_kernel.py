@@ -4,7 +4,9 @@ This is the kernel qcrystal used before paths moved to int steps over one
 common denominator per crystal.  It keeps every path in Fraction
 coordinates and trusts no denominator bound, so the differential tests in
 ``test_integer_kernel.py`` diff whole crystals built by the library
-against it.  Do not import it from ``src/``.
+against it.  The library keeps a path only as (orbit index, length) runs;
+``grid_steps`` and ``fraction_steps`` decode them for the tests.  Do not
+import it from ``src/``.
 """
 
 from fractions import Fraction
@@ -131,3 +133,15 @@ def reference_crystal(datum, lam):
         for b, i, key in hits:
             edges[(b, i)] = ids[key]
     return paths, edges
+
+
+def grid_steps(orbit, runs):
+    """The runs of a path decoded to scaled int steps, L * points[o] each."""
+    return tuple(map(orbit.run, runs[::2], runs[1::2]))
+
+
+def fraction_steps(graph, b):
+    """The path of element b of a library graph as exact Fraction steps, run by run."""
+    denom = graph.denominator
+    return tuple(tuple(Fraction(x, denom) for x in step)
+                 for step in grid_steps(graph.orbit, graph.runs[b]))

@@ -6,10 +6,8 @@ import re
 import pytest
 
 from conftest import by_word, tampered
-from qcrystal import cli, crystal
-from qcrystal.crystal import e_tilde, eps_phi, f_tilde
+from qcrystal import cli
 from qcrystal.demazure import _partition_error
-from qcrystal.root_data import cartan_datum
 
 
 def test_edge_view_is_a_read_only_mapping(graph_of):
@@ -57,7 +55,7 @@ def test_string_data_rejects_an_index_out_of_range(i, graph_of):
     assert graph.f(0, i) is None and graph.e(5, i) is None
 
 
-@pytest.mark.parametrize("accessor", ["weight", "eps", "phi", "path"])
+@pytest.mark.parametrize("accessor", ["weight", "eps", "phi"])
 @pytest.mark.parametrize("where", ["before", "after"])
 def test_element_accessors_reject_an_id_out_of_range(accessor, where, graph_of):
     # weight_of[-1] alone would read the lowest element, where f and e give None
@@ -68,24 +66,6 @@ def test_element_accessors_reject_an_id_out_of_range(accessor, where, graph_of):
     with pytest.raises(IndexError, match=re.escape(f"element id {b} out of range 0..7")):
         read(*args)
     assert graph.f(b, 1) is None and graph.e(b, 1) is None
-
-
-def test_public_operators_share_grid_tables_per_shape(graph_of):
-    graph = graph_of("D4", (1, 1, 1, 1))
-    datum = graph.datum
-    crystal._grid_tables.cache_clear()
-    tables = crystal._on_grid(datum, 1, graph.path(5))[0]
-    assert crystal._on_grid(datum, 3, graph.path(900))[0] is tables
-    info = crystal._grid_tables.cache_info()
-    assert (info.misses, info.hits, info.maxsize) == (1, 1, 16)
-    for b in range(0, len(graph), 251):
-        path = graph.path(b)
-        for i in graph.indices():
-            down, up = graph.f(b, i), graph.e(b, i)
-            assert f_tilde(datum, i, path) == (None if down is None else graph.path(down))
-            assert e_tilde(datum, i, path) == (None if up is None else graph.path(up))
-            assert eps_phi(datum, i, path) == (graph.eps(b, i), graph.phi(b, i))
-    assert crystal._grid_tables.cache_info().misses == 1
 
 
 def _two_level_peak(graph):

@@ -11,9 +11,10 @@ from fractions import Fraction
 import pytest
 
 import coroot_reference as ref
+from fraction_kernel import canonical_steps, fraction_steps, grid_steps
 from qcrystal import crystal
 from qcrystal.character import weyl_dimension
-from qcrystal.crystal import generate_crystal, straight_path
+from qcrystal.crystal import generate_crystal
 from qcrystal.root_data import (_coroots, cartan_datum, positive_roots,
                                 root_weight_coords, supported_types)
 
@@ -54,8 +55,8 @@ def test_top_element_is_the_straight_path(name):
         denom = ref.denominator(datum, lam)
         assert graph.denominator == denom
         top = (tuple(denom * x for x in lam),) if any(lam) else ()
-        assert graph.orbit.steps(graph.runs[0]) == top
-        assert graph.path(0) == straight_path(datum, lam)
+        assert grid_steps(graph.orbit, graph.runs[0]) == top
+        assert fraction_steps(graph, 0) == canonical_steps((lam,))
 
 
 def test_generation_rejects_a_non_dominant_weight_before_the_top_path():

@@ -1,4 +1,8 @@
-"""Path model: root operators, crystal generation, normality, oracles."""
+"""Path model: root operators, crystal generation, normality, oracles.
+
+Paths are read off generated graphs as ``fraction_kernel.fraction_steps``,
+and the slow-route string counts iterate that reference's operators.
+"""
 
 import tracemalloc
 from collections import Counter
@@ -6,83 +10,83 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_kernel as ref
 from conftest import tampered
 from qcrystal.character import weyl_dimension
-from qcrystal.crystal import (LSPath, ResourceCapError, e_tilde, eps_phi,
-                              f_tilde, generate_crystal, straight_path,
-                              verify_normal)
+from qcrystal.crystal import ResourceCapError, generate_crystal, verify_normal
 from qcrystal.rank_one import RankOneModule, crystal_f_tilde
 from qcrystal.root_data import cartan_datum, dominance_leq, reflect
 
 A1 = cartan_datum("A1")
 A2 = cartan_datum("A2")
+half = Fraction(1, 2)
 
 
-def test_straight_path():
-    p = straight_path(A2, (1, 1))
-    assert p.weight() == (1, 1)
-    z = straight_path(A2, (0, 0))
-    assert z.steps == () and z.weight(rank=2) == (0, 0)
-    assert straight_path(A1, (2,)).weight() == (2,)
-    with pytest.raises(ValueError):
-        straight_path(A2, (1, -1))
-    with pytest.raises(ValueError):
-        straight_path(A2, (1,))
+def test_straight_path(graph_of):
+    # element 0 is the straight path to lambda (no run at all for lambda = 0)
+    for name, lam in [("A2", (1, 1)), ("A2", (0, 0)), ("A1", (2,))]:
+        graph = graph_of(name, lam)
+        assert ref.fraction_steps(graph, 0) == ref.canonical_steps((lam,))
+        assert graph.weight(0) == lam
 
 
-def test_f_tilde_rank_one_chain():
-    p = straight_path(A1, (1,))
-    down = f_tilde(A1, 1, p)
-    assert down.weight() == (-1,)
-    assert f_tilde(A1, 1, down) is None
-    assert e_tilde(A1, 1, down).steps == p.steps
-    assert e_tilde(A1, 1, p) is None
+def test_f_tilde_rank_one_chain(graph_of):
+    graph = graph_of("A1", (1,))
+    down = graph.f(0, 1)
+    assert ref.fraction_steps(graph, down) == ((-1,),) and graph.weight(down) == (-1,)
+    assert graph.f(down, 1) is None
+    assert graph.e(down, 1) == 0
+    assert graph.e(0, 1) is None
 
 
-def test_f_tilde_a2_fundamental():
-    p = straight_path(A2, (1, 0))
-    p1 = f_tilde(A2, 1, p)
-    assert p1.weight() == (-1, 1)
-    p12 = f_tilde(A2, 2, p1)
-    assert p12.weight() == (0, -1)
-    assert f_tilde(A2, 1, p12) is None and f_tilde(A2, 2, p12) is None
-    assert f_tilde(A2, 2, p) is None  # phi_2 = 0 at the top
+def test_f_tilde_a2_fundamental(graph_of):
+    graph = graph_of("A2", (1, 0))
+    p1 = graph.f(0, 1)
+    assert ref.fraction_steps(graph, p1) == ((-1, 1),) and graph.weight(p1) == (-1, 1)
+    p12 = graph.f(p1, 2)
+    assert ref.fraction_steps(graph, p12) == ((0, -1),) and graph.weight(p12) == (0, -1)
+    assert graph.f(p12, 1) is None and graph.f(p12, 2) is None
+    assert graph.f(0, 2) is None  # phi_2 = 0 at the top
 
 
-def test_eps_phi_examples():
-    top = straight_path(A2, (2, 1))
+def test_eps_phi_examples(graph_of):
+    top = graph_of("A2", (2, 1))
     for i, lam_i in ((1, 2), (2, 1)):
-        assert eps_phi(A2, i, top) == (0, lam_i)
-    bottom = f_tilde(A1, 1, straight_path(A1, (1,)))
-    assert eps_phi(A1, 1, bottom) == (1, 0)
-    zero = straight_path(A2, (0, 0))
-    assert eps_phi(A2, 1, zero) == (0, 0) and eps_phi(A2, 2, zero) == (0, 0)
+        assert (top.eps(0, i), top.phi(0, i)) == (0, lam_i)
+    a1 = graph_of("A1", (1,))
+    assert (a1.eps(1, 1), a1.phi(1, 1)) == (1, 0)
+    zero = graph_of("A2", (0, 0))
+    assert all((zero.eps(0, i), zero.phi(0, i)) == (0, 0) for i in (1, 2))
+    # f_2 f_1 of the A2 (1, 1) top: half of (1, -2), then half of (-1, 2)
+    a2 = graph_of("A2", (1, 1))
+    b = a2.f(a2.f(0, 1), 2)
+    assert ref.fraction_steps(a2, b) == ((half, -1), (-half, 1)) and a2.weight(b) == (0, 0)
+    assert [(a2.eps(b, i), a2.phi(b, i)) for i in (1, 2)] == [(0, 0), (1, 1)]
 
 
 def test_eps_phi_match_operator_iteration(graph_of):
-    # slow-route verification: count actual applications until None
+    # slow-route verification: count Fraction-reference applications until None
     for name, lam in [("A2", (1, 1)), ("B2", (1, 1)), ("G2", (1, 0))]:
         graph = graph_of(name, lam)
         datum = graph.datum
         for b in graph.all_ids():
-            path = graph.path(b)
+            path = ref.fraction_steps(graph, b)
             for i in datum.indices():
-                up, cur = 0, path
-                while (nxt := e_tilde(datum, i, cur)) is not None:
-                    cur, up = nxt, up + 1
-                down, cur = 0, path
-                while (nxt := f_tilde(datum, i, cur)) is not None:
-                    cur, down = nxt, down + 1
-                assert (up, down) == (graph.eps(b, i), graph.phi(b, i))
+                counts = []
+                for move in (ref.raised, ref.lowered):
+                    n, cur = 0, path
+                    while (cur := move(datum, i, cur)) is not None:
+                        n += 1
+                    counts.append(n)
+                assert tuple(counts) == (graph.eps(b, i), graph.phi(b, i))
 
 
 def test_canonical_form_merges_parallel_runs():
-    half = Fraction(1, 2)
-    p = LSPath(((half, 0), (half, 0), (0, 0), (1, 1)))
-    assert p.steps == ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1)))
+    p = ref.canonical_steps(((half, 0), (half, 0), (0, 0), (1, 1)))
+    assert p == ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1)))
     # antiparallel steps stay separate: the path turns back
-    back = LSPath(((1, 0), (-half, 0)))
-    assert len(back.steps) == 2
+    back = ref.canonical_steps(((1, 0), (-half, 0)))
+    assert len(back) == 2
 
 
 SIZES = {("A1", (4,)): 5, ("A2", (1, 0)): 3, ("A2", (1, 1)): 8,
@@ -207,7 +211,7 @@ def test_ids_are_bfs_level_order(graph_of):
     # within a level, ids follow the canonical path encoding
     for lvl in set(levels):
         ids = [b for b in graph.all_ids() if levels[b] == lvl]
-        keys = [graph.path(b).sort_key() for b in ids]
+        keys = [ref.fraction_steps(graph, b) for b in ids]
         assert keys == sorted(keys)
 
 

@@ -15,8 +15,7 @@ import pytest
 import fraction_kernel as ref
 import int_step_kernel as int_ref
 from qcrystal import crystal
-from qcrystal.crystal import (LSPath, PathKernelError, e_tilde, eps_phi, f_tilde,
-                              generate_crystal)
+from qcrystal.crystal import PathKernelError, generate_crystal
 from qcrystal.root_data import cartan_datum, simple_root, supported_types
 
 # the acceptance crystals, one weight with split steps for each remaining
@@ -36,7 +35,7 @@ def assert_same_crystal(graph):
     assert len(graph) == len(paths)
     assert graph.edges == edges
     for b, steps in enumerate(paths):
-        assert graph.path(b).steps == steps, b
+        assert ref.fraction_steps(graph, b) == steps, b
         assert graph.weight(b) == ref.weight(steps, datum.rank), b
         for i in datum.indices():
             assert (graph.eps(b, i), graph.phi(b, i)) == ref.eps_phi(datum, i, steps), (b, i)
@@ -67,7 +66,7 @@ def test_crystal_matches_int_step_reference(name, lam, graph_of):
     assert graph.edges == edges
     for b, expected in enumerate(elements):
         row = graph.weight_of[b], graph.eps_of[b], graph.phi_of[b]
-        assert (graph.orbit.steps(graph.runs[b]), *row) == expected, b
+        assert (ref.grid_steps(graph.orbit, graph.runs[b]), *row) == expected, b
 
 
 @pytest.mark.parametrize("name,lam", INT_STEP_CASES)
@@ -129,30 +128,20 @@ def test_generation_with_too_small_denominator_raises(monkeypatch):
 
 HAND_BUILT = [
     # A2 (1, 1): f_2 f_1 of the top path, weight (0, 0)
-    ("A2", LSPath(((half, -1), (-half, 1)))),
+    ("A2", ((half, -1), (-half, 1))),
     # B2 (1, 1): a path of weight (0, 1) whose f_2 splits into thirds
-    ("B2", LSPath(((-1, 3 * half), (1, -half)))),
+    ("B2", ((-1, 3 * half), (1, -half))),
 ]
 
 
 @pytest.mark.parametrize("name,path", HAND_BUILT)
-def test_public_operators_on_half_steps(name, path):
-    datum = cartan_datum(name)
+def test_public_operators_on_half_steps(name, path, graph_of):
+    # the graph's f, e, eps and phi at the element of a hand-built path
+    graph = graph_of(name, (1, 1))
+    datum, steps = graph.datum, ref.canonical_steps(path)
+    (b,) = [b for b in graph.all_ids() if ref.fraction_steps(graph, b) == steps]
     for i in datum.indices():
-        low, high = f_tilde(datum, i, path), e_tilde(datum, i, path)
-        assert (low and low.steps) == ref.lowered(datum, i, path.steps)
-        assert (high and high.steps) == ref.raised(datum, i, path.steps)
-        assert eps_phi(datum, i, path) == ref.eps_phi(datum, i, path.steps)
-
-
-def test_public_operators_reject_off_grid_paths():
-    # shape (1,) has denominator 1, so a half step is no crystal path
-    with pytest.raises(ValueError, match="grid"):
-        eps_phi(cartan_datum("A1"), 1, LSPath(((half,), (-half,))))
-
-
-def test_public_operators_reject_steps_off_the_orbit():
-    # shape (1, 1), but (1, 0) is half of (2, 0), which is no Weyl conjugate of it
-    path = LSPath(((1, 0), (0, 1)))
-    with pytest.raises(ValueError, match="no positive multiple of a Weyl conjugate"):
-        f_tilde(cartan_datum("A2"), 1, path)
+        for image, move in ((graph.f(b, i), ref.lowered), (graph.e(b, i), ref.raised)):
+            found = None if image is None else ref.fraction_steps(graph, image)
+            assert found == move(datum, i, steps), (i, move.__name__)
+        assert (graph.eps(b, i), graph.phi(b, i)) == ref.eps_phi(datum, i, steps)

@@ -9,8 +9,6 @@ pinned below the refusals, one of them that of the test reference
 ``string_reference.quotient_strings``.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from conftest import tampered
@@ -81,23 +79,14 @@ def _one_half_heights(pair, denom, path):
 
 
 CRYSTAL = {
-    "non-integral endpoint": (
-        lambda mp, g: crystal.LSPath(((Fraction(1, 2),),)).weight(),
-        ValueError, "path endpoint (Fraction(1, 2),) is not an integral weight"),
     "non-integral endpoint height": (
         _patched(crystal, "_run_heights", _one_half_heights,
-                 lambda: crystal.eps_phi(A2, 1, crystal.straight_path(A2, (1, 1)))),
+                 lambda: crystal.generate_crystal(A2, (1, 1))),
         PathKernelError, "non-integral endpoint height 1/2: not a crystal path"),
-    "non-integral shape": (
-        lambda mp, g: crystal.f_tilde(A2, 1, crystal.LSPath(((Fraction(1, 2), 0),))),
-        ValueError, "path shape ('1/2', '0') is not an integral weight"),
     "generation passes the cap": (
         _patched(crystal, "weyl_dimension", lambda datum, lam: 1,
                  lambda: crystal.generate_crystal(A2, (1, 1), max_elements=3)),
         ResourceCapError, "crystal generation passed 3 elements"),
-    "straight path not dominant": (
-        lambda mp, g: crystal.straight_path(A2, (0, -2)),
-        ValueError, "straight_path needs a dominant weight, got (0, -2)"),
 }
 
 

@@ -8,7 +8,7 @@ raised a bare ``tuple index out of range``.
 import pytest
 
 from qcrystal.character import FormalCharacter, demazure_operator
-from qcrystal.crystal import LSPath, e_tilde, f_tilde, generate_crystal
+from qcrystal.crystal import generate_crystal
 from qcrystal.demazure import extremal_element, extremal_weights
 from qcrystal.root_data import (apply_word, cartan_datum, dominance_leq,
                                 dominant_representative, reflect, root_coords,
@@ -26,12 +26,11 @@ LONG = "weight length 3 does not match rank 2"
     lambda: dominance_leq(A2, (0, 0, 0), (1, 1)),
     lambda: dominance_leq(A2, (1, 1), (0, 0, 0)),
     lambda: demazure_operator(A2, 1, FormalCharacter.monomial((1, 1, 1))),
-    lambda: f_tilde(A2, 1, LSPath(((1, 1, 1),))),
-    lambda: e_tilde(A2, 1, LSPath(((1, 1, 1),))),
+    lambda: generate_crystal(A2, (1, 1, 1)),
     lambda: root_weight_coords(A2, (1, 1, 1)),
     lambda: apply_word(A2, (), (1, 1, 1)),
 ], ids=["reflect", "weyl_orbit", "dominant_representative", "root_coords",
-        "dominance_leq_mu", "dominance_leq_lam", "demazure_operator", "f_tilde", "e_tilde",
+        "dominance_leq_mu", "dominance_leq_lam", "demazure_operator", "generate_crystal",
         "root_weight_coords", "apply_word_empty"])
 def test_a_weight_longer_than_the_rank_is_refused(call):
     with pytest.raises(ValueError, match=LONG):

@@ -5,8 +5,9 @@
 ``reflect``.  For every type the functions of ``root_data`` must agree
 with them on every element of W, on every element times one more letter
 and on every word of length at most 3.  |W| is read off the positive roots
-by the Poincare identity.  No command of the CLI lists W, or calls any
-other public name that only the library offers (``LIBRARY_ONLY``).
+by the Poincare identity.  No command of the CLI lists W, calls any
+other public name that only the library offers (``LIBRARY_ONLY``) or
+reads an element through a ``CrystalGraph`` accessor (``ACCESSORS``).
 ``all_reduced_words``, which lists every reduced word of an element, lives
 in the reference alone and is checked against brute force here.
 """
@@ -125,11 +126,22 @@ def _jobs(name, command):
 
 # public names that no command calls: the library offers them, the CLI must not need them
 LIBRARY_ONLY = ("weyl_group", "verify_demazure_character", "extremal_element",
-                "extremal_weights", "f_tilde", "e_tilde", "eps_phi", "straight_path")
+                "extremal_weights")
+# element accessors of ``CrystalGraph`` that no command calls: the CLI reads the columns
+ACCESSORS = ("f", "e", "eps", "phi", "weight")
+
+
+def _refusal(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"the CLI called {name}")
+    return refused
 
 
 def _same_without_library_only_names(jobs, graph_of, monkeypatch, path):
-    """Each job writes the same bytes and exit code when the ``LIBRARY_ONLY`` names raise."""
+    """Each job writes the same bytes and exit code when the ``LIBRARY_ONLY`` names raise.
+
+    So do the ``ACCESSORS``, patched on the ``CrystalGraph`` class.
+    """
     monkeypatch.setattr(cli, "generate_crystal",
                         lambda datum, lam, max_elements: graph_of(datum.name, lam))
 
@@ -143,14 +155,14 @@ def _same_without_library_only_names(jobs, graph_of, monkeypatch, path):
     modules = [module for key, module in sys.modules.items()
                if key == "qcrystal" or key.startswith("qcrystal.")]
     for name in LIBRARY_ONLY:
-        def refused(*args, name=name, **kwargs):
-            raise AssertionError(f"the CLI called {name}")
-
+        refused = _refusal(name)
         original = getattr(qcrystal, name)
         for module in modules:  # wherever it is bound
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, refused)
         assert getattr(sys.modules[original.__module__], name) is refused
+    for name in ACCESSORS:
+        monkeypatch.setattr(qcrystal.CrystalGraph, name, _refusal(f"CrystalGraph.{name}"))
     for argv, outcome in zip(jobs, expected):
         assert run(argv) == outcome, argv
 
