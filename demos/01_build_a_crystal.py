@@ -15,20 +15,24 @@ graph = qc.generate_crystal(datum, lam)
 print(f"B{lam} for {datum.name} has {len(graph)} elements")
 print(f"(the Weyl dimension formula predicts {qc.weyl_dimension(datum, lam)})\n")
 
+# The crystal is a set of columns indexed by element id: weight_of, eps_of
+# and phi_of, and per index i the column children[i - 1] of f_tilde_i and
+# parents[i - 1] of e_tilde_i, where -1 means no edge.
 print("id  weight    eps     phi")
 for b in graph.all_ids():
-    print(f"{b:>2}  {graph.weight(b)}  {graph.eps_of[b]}  {graph.phi_of[b]}")
+    print(f"{b:>2}  {graph.weight_of[b]}  {graph.eps_of[b]}  {graph.phi_of[b]}")
 
 # Element 0 is always the highest-weight element: every raising operator
 # kills it, and its phi values read off the highest weight itself.
 print("\nraising operators on element 0:",
-      [graph.e(0, i) for i in datum.indices()])
+      [None if up[0] < 0 else up[0] for up in graph.parents])
 
-# Walk down an f-string: apply f_tilde_1 until it returns None.
+# Walk down an f-string: follow the f_tilde_1 column until it holds -1.
+down = graph.children[0]
 b = 0
 chain = [b]
-while (nxt := graph.f(b, 1)) is not None:
-    b = nxt
+while down[b] >= 0:
+    b = down[b]
     chain.append(b)
 print("the 1-string through the top:", " -> ".join(map(str, chain)))
 
@@ -36,7 +40,7 @@ print("the 1-string through the top:", " -> ".join(map(str, chain)))
 # runs: graph.runs[b] is one flat int tuple (o_1, L_1, o_2, L_2, ...), run k
 # being L_k / graph.denominator times the Weyl-orbit point
 # graph.orbit.points[o_k].  The weight is the endpoint of the path.
-b = graph.f(graph.f(0, 1), 2)
+b = graph.children[1][graph.children[0][0]]
 print(f"\nf_2 f_1 of the top is element {b}, with runs {graph.runs[b]}")
 for o, length in zip(graph.runs[b][::2], graph.runs[b][1::2]):
     print(f"  {Fraction(length, graph.denominator)} * {graph.orbit.points[o]}")

@@ -36,7 +36,7 @@ print("\nextremal ladder for w0:")
 for weight, m in ladder:
     print(f"  {weight}" + (f"   (reached by {m} lowering steps)" if m is not None else ""))
 print("extremal element of B_w0:", qc.extremal_element(graph, w0),
-      "with weight", graph.weight(qc.extremal_element(graph, w0)))
+      "with weight", graph.weight_of[qc.extremal_element(graph, w0)])
 
 
 def strings(i):

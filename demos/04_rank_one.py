@@ -44,7 +44,8 @@ print("\ncrystal chain:", " -> ".join(map(str, chain)))
 
 # The chain is exactly B(lam) for A1 as the path model builds it.
 graph = qc.generate_crystal(qc.cartan_datum("A1"), (lam,))
-match = all(graph.f(k, 1) == qc.crystal_f_tilde(m, k) for k in range(m.dim))
+f1 = graph.children[0]  # f_tilde_1 as a column of ids, -1 for none
+match = all((None if f1[k] < 0 else f1[k]) == qc.crystal_f_tilde(m, k) for k in range(m.dim))
 print("agrees with the A1 path-model crystal:", match and len(graph) == m.dim)
 
 # Quantum binomials are bar-symmetric, like everything balanced here.

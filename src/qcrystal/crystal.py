@@ -26,11 +26,11 @@ A crystal is stored as columns indexed by element id rather than as one
 object per element: a list of path tuples, lists of weight, eps and phi
 tuples (one tuple object per distinct value in a generated crystal), and
 per index i one ``array('i')`` column of f_tilde_i targets and one of
-e_tilde_i sources, -1 for none.  ``CrystalGraph`` has one constructor,
-which takes these columns and derives the e_tilde_i sources from the
+e_tilde_i sources, -1 for none.  These columns are the one way to read
+an element: ``CrystalGraph`` has no per-element accessor.  Its one
+constructor takes them and derives the e_tilde_i sources from the
 f_tilde_i targets; where two i-edges enter one child, the larger source
-id names its parent.  ``CrystalGraph.edges`` is a fresh {(b, i): child}
-dict built on each access.
+id names its parent.
 """
 
 from array import array
@@ -41,7 +41,7 @@ from math import lcm
 from operator import sub
 
 from .character import weyl_dimension
-from .root_data import _check_index, _coroots, _Orbit, simple_root
+from .root_data import _coroots, _Orbit, simple_root
 
 DEFAULT_MAX_ELEMENTS = 200_000
 
@@ -128,15 +128,6 @@ def _string_data(denom, h, m):
     return end, eps, end + eps
 
 
-def _follow(columns, b, i):
-    """``columns[i - 1][b]`` as an id; None for -1, or for an i or b out of range."""
-    if 0 < i <= len(columns) and b >= 0:
-        column = columns[i - 1]
-        if b < len(column) and column[b] >= 0:
-            return column[b]
-    return None
-
-
 class CrystalGraph:
     """B(lambda): elements indexed 0..n-1 with i-labeled lowering edges.
 
@@ -146,14 +137,14 @@ class CrystalGraph:
     are stored as (orbit index, length) pairs whose lengths sum to
     ``denominator``, the lcm of the pairings <lambda, beta^vee>.
 
-    The graph is a set of columns indexed by element id, and the one
-    constructor takes them: ``runs[b]`` is the path of b over the
-    ``orbit`` tables; ``weight_of[b]``, ``eps_of[b]`` and ``phi_of[b]``
-    are rank-tuples; and for i0 = i - 1, ``children[i0][b]`` is the id of
-    f_tilde_i(b) in an ``array('i')`` column, -1 for none.  The
-    constructor derives the matching ``parents`` columns of e_tilde_i
-    sources; where two i-edges enter one child, the larger source id
-    names its parent.  ``edges`` builds a fresh {(b, i): child} dict.
+    The graph is the columns indexed by element id, read directly; the one
+    constructor takes them: ``runs[b]`` is the path of b over the ``orbit``
+    tables; ``weight_of[b]``, ``eps_of[b]`` and ``phi_of[b]`` are rank-tuples
+    (eps_i(b) is ``eps_of[b][i - 1]``); ``children[i - 1][b]`` is the id of
+    f_tilde_i(b) in an ``array('i')`` column, -1 for none.  It derives the
+    matching ``parents`` columns of e_tilde_i sources; where two i-edges enter
+    one child, the larger source id names its parent.  ``edges`` builds a
+    fresh {(b, i): child} dict.
     """
 
     def __init__(self, datum, highest_weight, denominator, orbit,
@@ -189,30 +180,6 @@ class CrystalGraph:
 
     def indices(self):
         return self.datum.indices()
-
-    def f(self, b, i):
-        """Id of f_tilde_i(b), or None."""
-        return _follow(self.children, b, i)
-
-    def e(self, b, i):
-        """Id of e_tilde_i(b), or None."""
-        return _follow(self.parents, b, i)
-
-    def _id(self, b):
-        if 0 <= b < len(self.runs):  # a negative b must not read from the end
-            return b
-        raise IndexError(f"element id {b} out of range 0..{len(self.runs) - 1}")
-
-    def eps(self, b, i):
-        _check_index(self.datum, i)
-        return self.eps_of[self._id(b)][i - 1]
-
-    def phi(self, b, i):
-        _check_index(self.datum, i)
-        return self.phi_of[self._id(b)][i - 1]
-
-    def weight(self, b):
-        return self.weight_of[self._id(b)]
 
     def all_ids(self):
         return range(len(self.runs))

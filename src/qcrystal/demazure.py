@@ -132,11 +132,12 @@ def extremal_element(graph, word):
     ladder = extremal_weights(datum, graph.highest_weight, word)
     b = 0
     for step, (_, m) in zip(reversed(tuple(word)), ladder[1:]):
+        column = graph.children[step - 1]
         for _ in range(m):
-            b = graph.f(b, step)
-            if b is None:
+            b = column[b]
+            if b < 0:
                 raise RuntimeError("lowering string ended before the extremal weight")
-    if graph.weight(b) != ladder[-1][0]:
+    if graph.weight_of[b] != ladder[-1][0]:
         raise RuntimeError("extremal element has the wrong weight")
     return b
 

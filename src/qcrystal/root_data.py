@@ -289,8 +289,17 @@ def weyl_order(datum):
 
 
 def is_reduced(datum, word):
-    """True iff no shorter word represents the same element."""
-    return len(word) == len(canonical_word(datum, word))
+    """True iff no shorter word represents the same element.
+
+    One walk from rho, rightmost letter first, checking every letter: s_i v
+    is longer than v iff <v(rho), h_i> > 0, so reduced iff that is so at each step.
+    """
+    mu, reduced = rho(datum), True
+    for i in reversed(word):
+        _check_index(datum, i)
+        reduced = reduced and mu[i - 1] > 0
+        mu = _step(datum, i, mu)
+    return reduced
 
 
 def longest_word(datum):

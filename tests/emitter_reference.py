@@ -25,9 +25,9 @@ def reference_json(graph, members=None):
         "highest_weight": list(graph.highest_weight),
         "elements": [
             {"id": b,
-             "weight": list(graph.weight(b)),
-             "eps": [graph.eps(b, i) for i in graph.indices()],
-             "phi": [graph.phi(b, i) for i in graph.indices()]}
+             "weight": list(graph.weight_of[b]),
+             "eps": list(graph.eps_of[b]),
+             "phi": list(graph.phi_of[b])}
             for b in graph.all_ids()],
         "edges": [
             {"from": b, "to": child, "i": i}
@@ -41,7 +41,7 @@ def reference_json(graph, members=None):
 def reference_dot(graph, members=None):
     lines = ["digraph crystal {", "  rankdir=TB;"]
     for b in graph.all_ids():
-        label = "(" + ", ".join(str(c) for c in graph.weight(b)) + ")"
+        label = "(" + ", ".join(str(c) for c in graph.weight_of[b]) + ")"
         extra = ", peripheries=2" if members is not None and b in members else ""
         lines.append(f'  n{b} [label="{label}"{extra}];')
     for (b, i), child in _sorted_edges(graph):
@@ -58,9 +58,9 @@ def reference_text(graph, members=None):
         lines[0] += f", subset of size {len(members)}"
     for b in graph.all_ids():
         mark = "*" if members is not None and b in members else " "
-        wt = ", ".join(str(c) for c in graph.weight(b))
-        eps = ", ".join(str(graph.eps(b, i)) for i in graph.indices())
-        phi = ", ".join(str(graph.phi(b, i)) for i in graph.indices())
+        wt = ", ".join(str(c) for c in graph.weight_of[b])
+        eps = ", ".join(str(c) for c in graph.eps_of[b])
+        phi = ", ".join(str(c) for c in graph.phi_of[b])
         lines.append(f"{mark}{b:>4}  weight=({wt})  eps=({eps})  phi=({phi})")
     lines.append("edges:")
     for (b, i), child in _sorted_edges(graph):

@@ -3,11 +3,12 @@
 ``demazure._string_rule`` reads a subset's string and filtration verdicts
 off the crystal's child and parent columns with one local rule, once
 ``demazure._partition_error`` accepts the i-edges.  The forms below list
-each i-string as an ``IString`` by walking ``graph.f`` down from its top
-and intersect it with the subset: ``string_property`` and
-``filtration_structure`` are the two verdicts, and ``quotient_strings``
-checks a covering pair B_w over B_{s_i w}.  Kept for the differential
-tests only.  Do not import it from ``src/``.
+each i-string as an ``IString`` by walking the child column
+``graph.children[i - 1]`` down from its top, and intersect it with the
+subset: ``string_property`` and ``filtration_structure`` are the two
+verdicts, and ``quotient_strings`` checks a covering pair B_w over
+B_{s_i w}.  Kept for the differential tests only.  Do not import it from
+``src/``.
 """
 
 from dataclasses import dataclass
@@ -32,12 +33,12 @@ def i_strings(graph, i):
     Raises RuntimeError unless they partition the crystal: a walk longer
     than the crystal, or strings that miss or share an element.
     """
-    strings = []
+    strings, column = [], graph.children[i - 1]
     for top in graph.all_ids():
-        if graph.eps(top, i) != 0:
+        if graph.eps_of[top][i - 1] != 0:
             continue
         chain = [top]
-        while (child := graph.f(chain[-1], i)) is not None:
+        while (child := column[chain[-1]]) >= 0:
             if len(chain) > len(graph):
                 raise RuntimeError(f"the {i}-string below element {top} does not end")
             chain.append(child)
@@ -66,8 +67,8 @@ def filtration_structure(dc, i):
             continue
         if len(hit) == 1:
             (b,) = hit
-            l = graph.eps(b, i) + graph.phi(b, i)
-            if b == s.top and graph.weight(b)[i - 1] == l and l > 0:
+            l = graph.eps_of[b][i - 1] + graph.phi_of[b][i - 1]
+            if b == s.top and graph.weight_of[b][i - 1] == l and l > 0:
                 continue
             return False, ("bad singleton layer", i, b)
         return False, ("layer is a partial string", i, s.top, tuple(sorted(hit)))

@@ -172,9 +172,10 @@ def test_criterion_09_rank_one_module():
             graph = generate_crystal(cartan_datum("A1"), (lam,))
             module = RankOneModule(lam)
             assert len(graph) == module.dim
-            for k in range(module.dim):
-                assert graph.f(k, 1) == crystal_f_tilde(module, k)
-                assert graph.weight(k) == (lam - 2 * k,)
+            for k, child in enumerate(graph.children[0]):
+                # the column holds -1 where crystal_f_tilde gives None
+                assert (None if child < 0 else child) == crystal_f_tilde(module, k)
+                assert graph.weight_of[k] == (lam - 2 * k,)
         assert time.monotonic() - start < 5.0
 
 

@@ -132,8 +132,7 @@ def test_json_schema(graph_of):
     assert len(payload["elements"]) == 8
     assert payload["elements"][0] == {"id": 0, "weight": [1, 1],
                                       "eps": [0, 0], "phi": [1, 1]}
-    edge_count = sum(1 for b in graph.all_ids() for i in graph.indices()
-                     if graph.f(b, i) is not None)
+    edge_count = sum(child >= 0 for column in graph.children for child in column)
     assert len(payload["edges"]) == edge_count
     assert all(set(e) == {"from", "to", "i"} for e in payload["edges"])
     assert "members" not in payload

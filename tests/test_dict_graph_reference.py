@@ -29,11 +29,13 @@ def _assert_same_graph(graph, expected):
     for b, el in enumerate(expected.elements):
         row = graph.runs[b], graph.weight_of[b], graph.eps_of[b], graph.phi_of[b]
         assert row == (el.runs, el.weight, el.eps, el.phi), b
-        steps = grid_steps(graph.orbit, graph.runs[b])
-        assert (graph.weight(b), steps) == (el.weight, el.steps), b
-        for i in graph.indices():
-            assert (graph.f(b, i), graph.e(b, i)) == (expected.f(b, i), expected.e(b, i)), (b, i)
-            assert (graph.eps(b, i), graph.phi(b, i)) == (expected.eps(b, i), expected.phi(b, i))
+        assert grid_steps(graph.orbit, graph.runs[b]) == el.steps, b
+        for i, down, up in zip(graph.indices(), graph.children, graph.parents):
+            # the reference's f and e give None where a column holds -1
+            moves = [None if c < 0 else c for c in (down[b], up[b])]
+            assert moves == [expected.f(b, i), expected.e(b, i)], (b, i)
+            string = graph.eps_of[b][i - 1], graph.phi_of[b][i - 1]
+            assert string == (expected.eps(b, i), expected.phi(b, i)), (b, i)
 
 
 @pytest.mark.parametrize("name,lam", INT_STEP_CASES)

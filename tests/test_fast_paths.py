@@ -118,5 +118,5 @@ def test_char_of_rejects_ids_out_of_range(graph_of):
             with pytest.raises(IndexError, match=f"element id {bad} out of range"):
                 char_of(members, graph, _gather(members))
     assert char_of(set(), graph) == FormalCharacter()
-    assert char_of({7}, graph) == FormalCharacter.monomial(graph.weight(7))
+    assert char_of({7}, graph) == FormalCharacter.monomial(graph.weight_of[7])
     assert char_of(graph.all_ids(), graph).total() == len(graph)

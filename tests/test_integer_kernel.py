@@ -36,9 +36,10 @@ def assert_same_crystal(graph):
     assert graph.edges == edges
     for b, steps in enumerate(paths):
         assert ref.fraction_steps(graph, b) == steps, b
-        assert graph.weight(b) == ref.weight(steps, datum.rank), b
+        assert graph.weight_of[b] == ref.weight(steps, datum.rank), b
         for i in datum.indices():
-            assert (graph.eps(b, i), graph.phi(b, i)) == ref.eps_phi(datum, i, steps), (b, i)
+            string = graph.eps_of[b][i - 1], graph.phi_of[b][i - 1]
+            assert string == ref.eps_phi(datum, i, steps), (b, i)
 
 
 @pytest.mark.parametrize("name,lam", DIFF_CASES)
@@ -136,12 +137,12 @@ HAND_BUILT = [
 
 @pytest.mark.parametrize("name,path", HAND_BUILT)
 def test_public_operators_on_half_steps(name, path, graph_of):
-    # the graph's f, e, eps and phi at the element of a hand-built path
+    # the graph's child, parent, eps and phi columns at the element of a hand-built path
     graph = graph_of(name, (1, 1))
     datum, steps = graph.datum, ref.canonical_steps(path)
     (b,) = [b for b in graph.all_ids() if ref.fraction_steps(graph, b) == steps]
-    for i in datum.indices():
-        for image, move in ((graph.f(b, i), ref.lowered), (graph.e(b, i), ref.raised)):
-            found = None if image is None else ref.fraction_steps(graph, image)
+    for i, down, up in zip(datum.indices(), graph.children, graph.parents):
+        for image, move in ((down[b], ref.lowered), (up[b], ref.raised)):
+            found = None if image < 0 else ref.fraction_steps(graph, image)
             assert found == move(datum, i, steps), (i, move.__name__)
-        assert (graph.eps(b, i), graph.phi(b, i)) == ref.eps_phi(datum, i, steps)
+        assert (graph.eps_of[b][i - 1], graph.phi_of[b][i - 1]) == ref.eps_phi(datum, i, steps)

@@ -164,6 +164,10 @@ ROOT_DATA.update({
         lambda mp, g, query=query: getattr(root_data, query)(A2, (1, 5, 0)),
         IndexError, "simple-root index 0 out of range 1..2")
     for query in ("canonical_word", "is_reduced", "left_descents", "element_key")})
+# is_reduced checks every letter: a bad one left of a non-reduced suffix still raises
+ROOT_DATA["is_reduced letter left of a repeat"] = (
+    lambda mp, g: root_data.is_reduced(A2, (5, 1, 1)),
+    IndexError, "simple-root index 5 out of range 1..2")
 
 
 @pytest.mark.parametrize("name", ROOT_DATA)

@@ -1,10 +1,11 @@
 """The public surface of ``qcrystal`` and the import boundary of its source.
 
-The package's public names are pinned as one literal list, so each
-addition or removal is a deliberate edit here.  The library imports only
-the standard library and its own modules: no test reference under
-``tests/`` may be imported from ``src/``, as each reference's docstring
-says.
+The package's public names are pinned as one literal list, and so are the
+public attributes of a generated ``CrystalGraph``, whose columns are the
+one way to read an element: each addition or removal is a deliberate edit
+here.  The library imports only the standard library and its own modules:
+no test reference under ``tests/`` may be imported from ``src/``, as each
+reference's docstring says.
 """
 
 import ast
@@ -28,6 +29,13 @@ PUBLIC = [
     "weyl_group", "weyl_orbit", "weyl_order",
 ]
 
+# instance fields (the columns and what they are read over), methods and the edges
+# property: no per-element accessor
+GRAPH = [
+    "all_ids", "children", "datum", "denominator", "edge_triples", "edges", "eps_of",
+    "highest_weight", "indices", "orbit", "parents", "phi_of", "runs", "weight_of",
+]
+
 SOURCE = Path(qcrystal.__file__).parent
 TESTS = Path(__file__).parent
 
@@ -37,6 +45,15 @@ def test_public_names_are_the_pinned_list():
     names = sorted(name for name, value in vars(qcrystal).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == sorted(PUBLIC)
+
+
+def test_crystal_graph_attributes_are_the_pinned_list(graph_of):
+    graph = graph_of("A2", (1, 1))
+    names = [name for name in dir(graph) if not name.startswith("_")]
+    assert names == GRAPH
+    defined = {name for name, value in vars(qcrystal.CrystalGraph).items()
+               if isinstance(value, (types.FunctionType, property))}
+    assert [name for name in names if name not in vars(graph) and name not in defined] == []
 
 
 def _absolute_imports(path):

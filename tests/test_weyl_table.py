@@ -5,9 +5,8 @@
 ``reflect``.  For every type the functions of ``root_data`` must agree
 with them on every element of W, on every element times one more letter
 and on every word of length at most 3.  |W| is read off the positive roots
-by the Poincare identity.  No command of the CLI lists W, calls any
-other public name that only the library offers (``LIBRARY_ONLY``) or
-reads an element through a ``CrystalGraph`` accessor (``ACCESSORS``).
+by the Poincare identity.  No command of the CLI lists W or calls any
+other public name that only the library offers (``LIBRARY_ONLY``).
 ``all_reduced_words``, which lists every reduced word of an element, lives
 in the reference alone and is checked against brute force here.
 """
@@ -53,6 +52,16 @@ def test_word_functions_match_the_reference(name):
         assert left_descents(datum, word) == ref.left_descents(datum, word), word
         reduced = len(ref.canonical_word(datum, word)) == len(word)
         assert is_reduced(datum, word) == reduced, word
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_is_reduced_agrees_with_the_canonical_word_length(name):
+    # one walk from rho against the walk to w(rho) and back to its canonical word
+    datum = cartan_datum(name)
+    for k in range(6):
+        for word in itertools.product(datum.indices(), repeat=k):
+            reduced = len(word) == len(canonical_word(datum, word))
+            assert is_reduced(datum, word) == reduced, word
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B2", "G2"])
@@ -127,8 +136,6 @@ def _jobs(name, command):
 # public names that no command calls: the library offers them, the CLI must not need them
 LIBRARY_ONLY = ("weyl_group", "verify_demazure_character", "extremal_element",
                 "extremal_weights")
-# element accessors of ``CrystalGraph`` that no command calls: the CLI reads the columns
-ACCESSORS = ("f", "e", "eps", "phi", "weight")
 
 
 def _refusal(name):
@@ -138,10 +145,7 @@ def _refusal(name):
 
 
 def _same_without_library_only_names(jobs, graph_of, monkeypatch, path):
-    """Each job writes the same bytes and exit code when the ``LIBRARY_ONLY`` names raise.
-
-    So do the ``ACCESSORS``, patched on the ``CrystalGraph`` class.
-    """
+    """Each job writes the same bytes and exit code when the ``LIBRARY_ONLY`` names raise."""
     monkeypatch.setattr(cli, "generate_crystal",
                         lambda datum, lam, max_elements: graph_of(datum.name, lam))
 
@@ -161,8 +165,6 @@ def _same_without_library_only_names(jobs, graph_of, monkeypatch, path):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, refused)
         assert getattr(sys.modules[original.__module__], name) is refused
-    for name in ACCESSORS:
-        monkeypatch.setattr(qcrystal.CrystalGraph, name, _refusal(f"CrystalGraph.{name}"))
     for argv, outcome in zip(jobs, expected):
         assert run(argv) == outcome, argv
 
