@@ -41,11 +41,12 @@ print("D_1 e^(-1,0) =", dict(qc.demazure_operator(datum, 1, FormalCharacter.mono
 # Demazure characters refine the Weyl character word by word.
 print("\nchar B_w against the operator formula, every w in W:")
 for w in qc.weyl_group(datum):
-    ok, _ = qc.verify_demazure_character(graph, lam, w)
-    size = len(qc.demazure_crystal(graph, w))
+    members = qc.demazure_crystal(graph, w)
+    ok = qc.char_of(members, graph) == apply_demazure_word(datum, w, FormalCharacter.monomial(lam))
+    size = len(members)
     print(f"  w = {w!s:<14} |B_w| = {size:>2}  formula agrees: {ok}")
 
 # Negative control: a proper Demazure character is not Weyl-invariant.
-partial = qc.char_of(qc.demazure_crystal(graph, (1,)).members, graph)
+partial = qc.char_of(qc.demazure_crystal(graph, (1,)), graph)
 reflected = FormalCharacter((qc.reflect(datum, 2, w), m) for w, m in partial.items())
 print("\nchar B_(1,) Weyl-invariant?", reflected == partial, "(expected False)")

@@ -6,8 +6,8 @@ signed intermediate values, so negative entries are allowed and crystal
 characters are validated at the boundary instead.  ``FormalCharacter`` is a
 ``SparseMap`` (``sparse.py``), the core it shares with ``LaurentPoly``.
 ``demazure_operator`` is the step of the ``root_data._orbit_walk`` in which
-``verify`` grows the Demazure characters,
-D_w(e^lambda) = D_{w[0]}(D_{w[1:]}(e^lambda)).
+``verify`` grows D_w(e^lambda) = D_{w[0]}(D_{w[1:]}(e^lambda)) to compare it
+with ``char_of`` of the frozenset B_w(lambda).
 
 Two independent oracles live here: the Weyl dimension product formula and
 Freudenthal's multiplicity recursion.  Neither touches the path model, so
@@ -19,10 +19,11 @@ consequence of the underlying vanishing theory, not a proof of it.
 import itertools
 from collections import Counter
 
-from .demazure import _gather, demazure_crystal
-from .root_data import (_check_dominant, _check_index, _check_length, _check_rank,
-                        _coroots, dominant_representative, is_dominant, positive_roots,
-                        root_coords, root_weight_coords, simple_root, weyl_orbit)
+from .demazure import _gather
+from .root_data import (_check_dominant, _check_index, _check_ints, _check_length,
+                        _check_rank, _coroots, dominant_representative, is_dominant,
+                        positive_roots, root_coords, root_weight_coords, simple_root,
+                        weyl_orbit)
 from .sparse import SparseMap
 
 
@@ -36,7 +37,9 @@ class FormalCharacter(SparseMap):
 
     @staticmethod
     def _key(weight, mult):
-        return tuple(weight)
+        if not isinstance(mult, int):
+            raise TypeError(f"multiplicity {mult!r} is not an int")
+        return _check_ints(weight)
 
     @classmethod
     def monomial(cls, weight, mult=1):
@@ -138,24 +141,6 @@ def apply_demazure_word(datum, word, chi):
     for i in reversed(word):
         chi = demazure_operator(datum, i, chi, shared)
     return chi
-
-
-def verify_demazure_character(graph, lam, word):
-    """Check char B_w(lambda) == D_word(e^lambda) exactly.
-
-    The subset recursion saturates letters right to left, so the operator
-    composition applies the last letter first; this pairing is what makes
-    the two sides agree word by word.
-    """
-    lam = tuple(lam)
-    if tuple(graph.highest_weight) != lam:
-        raise ValueError("graph highest weight does not match lam")
-    dc = demazure_crystal(graph, word)
-    lhs = char_of(dc.members, graph)
-    rhs = apply_demazure_word(graph.datum, word, FormalCharacter.monomial(lam))
-    if lhs == rhs:
-        return True, None
-    return False, (lhs, rhs)
 
 
 def weyl_dimension(datum, lam):

@@ -438,9 +438,8 @@ def _write(job, produce):
 def _configure_logging():
     level = os.environ.get("CRYSTAL_LOG", "error").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(stream=sys.stderr,
-                        level=levels.get(level, logging.ERROR),
-                        format="qcrystal %(levelname)s: %(message)s")
+    logging.basicConfig(stream=sys.stderr, format="qcrystal %(levelname)s: %(message)s")
+    log.setLevel(levels.get(level, logging.ERROR))  # every call: basicConfig acts only once
     if level not in levels:
         log.error("unknown CRYSTAL_LOG value %r, using 'error'", level)
 
@@ -468,7 +467,7 @@ def _run(job):
         return EXIT_OK if ok else EXIT_VERIFY_FAILED, lambda write: write(data)
     datum = cartan_datum(job.type_name)
     graph = generate_crystal(datum, job.weight, max_elements=job.max_elements)
-    members = None if job.word is None else demazure.demazure_crystal(graph, job.word).members
+    members = None if job.word is None else demazure.demazure_crystal(graph, job.word)
     if job.command == "character":
         chi = char_of(graph.all_ids() if members is None else members, graph)
         data = emit_character(datum, job.weight, job.word, chi, job.fmt)

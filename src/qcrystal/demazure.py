@@ -11,7 +11,8 @@ lambda = (1, 1):
 
 so (1, 2) first saturates letter 2, then letter 1.
 
-``demazure_crystal`` follows one word.  B_w depends only on w(lambda), so
+A subset is a frozenset of element ids; ``demazure_crystal`` cuts one
+along one word.  B_w depends only on w(lambda), so
 every B_w(lambda) comes from ``root_data._orbit_walk`` over the orbit W.lambda
 (at most |B(lambda)| points), with saturation as its step: the f_tilde_i
 closure of B_{s_i w}, computed for every left descent i of the shortest w
@@ -32,21 +33,8 @@ property: each i-string meets B_w in itself, its top alone, or not at all).
 
 import operator
 from array import array
-from dataclasses import dataclass
 
 from .root_data import _check_index, _check_rank, _orbit_walk, is_reduced, reflect
-
-
-@dataclass(frozen=True)
-class DemazureCrystal:
-    """A reduced word together with the subset of the ambient crystal it cuts out."""
-
-    graph: object
-    word: tuple[int, ...]
-    members: frozenset[int]
-
-    def __len__(self):
-        return len(self.members)
 
 
 def _saturate(graph, members, i):
@@ -68,14 +56,14 @@ def _saturate(graph, members, i):
 
 
 def demazure_crystal(graph, word):
-    """B_w(lambda) for a reduced word, by f_tilde saturation right to left."""
+    """B_w(lambda) for a reduced word: the frozenset of ids, saturated right to left."""
     word = tuple(word)
     if not is_reduced(graph.datum, word):
         raise ValueError(f"word {word} is not reduced")
     members = {0}
     for i in reversed(word):
         members = _saturate(graph, members, i)
-    return DemazureCrystal(graph, word, frozenset(members))
+    return frozenset(members)
 
 
 def _subset_levels(graph, words, order):

@@ -7,14 +7,14 @@ reflections, reduced words, dominance order, positive roots and their
 coroots are all computed with exact integer or rational arithmetic.
 
 An element w of the Weyl group W is known by its point w(rho), rho being
-regular: each word query applies its word to rho (``apply_word``) and reads
-the answer off the point by one descent rule, s_i shortens w exactly when
-<w(rho), h_i> < 0 (``_descent``; Humphreys, Reflection Groups and Coxeter
-Groups, 1990, 1.6-1.7).  Only ``weyl_group``, whose job is to list W,
-searches the orbit of rho.  ``_Orbit`` is that breadth-first search, the one
-Weyl-orbit search of weights in the package (``positive_roots`` closes the
-simple roots on its own); the path kernel, ``weyl_orbit`` and ``_orbit_walk``,
-the one walk over W.lambda, read it too.
+regular, and one descent rule reads words off points: s_i shortens w exactly
+when <w(rho), h_i> < 0 (``_descent``; Humphreys, Reflection Groups and
+Coxeter Groups, 1990, 1.6-1.7).  ``is_reduced`` applies it along its word's
+walk from rho, ``longest_word`` at w_0(rho) = -rho.  Only ``weyl_group``,
+whose job is to list W, searches the orbit of rho.  ``_Orbit`` is that
+breadth-first search, the one Weyl-orbit search of weights in the package
+(``positive_roots`` closes the simple roots on its own); the path kernel,
+``weyl_orbit`` and ``_orbit_walk``, the one walk over W.lambda, read it too.
 
 Supported types: A1..A4, B2, B3, C3, D4, G2, each written out with its
 symmetrizers in the one literal table ``_TYPES``; ``CartanDatum`` checks
@@ -162,16 +162,22 @@ def _check_length(datum, mu):
         raise ValueError(f"weight length {len(mu)} does not match rank {datum.rank}")
 
 
-def _check_rank(datum, lam):
-    """lam as a tuple of rank-many ints (anything with ``__index__``)."""
-    lam = tuple(lam)
-    _check_length(datum, lam)
-    for k, x in enumerate(lam, 1):
+def _check_ints(mu):
+    """mu as a tuple of ints (anything with ``__index__``)."""
+    mu = tuple(mu)
+    for k, x in enumerate(mu, 1):
         try:
             operator.index(x)
         except TypeError:
             raise TypeError(f"weight coordinate {k} is {x!r}, not an int") from None
-    return lam
+    return mu
+
+
+def _check_rank(datum, lam):
+    """lam as a tuple of rank-many ints."""
+    lam = tuple(lam)
+    _check_length(datum, lam)
+    return _check_ints(lam)
 
 
 def _check_dominant(datum, lam, subject):
@@ -221,15 +227,6 @@ def _descent(mu):
     return next((i for i, c in enumerate(mu, 1) if c < 0), 0)
 
 
-def _word_of(datum, mu):
-    """Canonical word of the shortest w taking mu's dominant representative to mu."""
-    word = []
-    while i := _descent(mu):
-        word.append(i)
-        mu = _step(datum, i, mu)
-    return tuple(word)
-
-
 def _coset_words(orbit):
     """(canonical word by point index, point indices in (length, word) order).
 
@@ -259,16 +256,6 @@ def _orbit_walk(orbit, words, order, top, grow):
             below, level, length = level, {}, len(w)
         level[o] = value = grow(w[0], below[orbit.refl[w[0] - 1][o]]) if w else top
         yield o, w, value, below
-
-
-def element_key(datum, word):
-    """w(rho), a faithful fingerprint of the group element of ``word``."""
-    return apply_word(datum, word, rho(datum))
-
-
-def canonical_word(datum, word):
-    """Lexicographically smallest reduced word for the element of ``word``."""
-    return _word_of(datum, element_key(datum, word))
 
 
 @lru_cache(maxsize=None)
@@ -304,16 +291,11 @@ def is_reduced(datum, word):
 
 def longest_word(datum):
     """Canonical reduced word of the longest element w_0, read off w_0(rho) = -rho."""
-    return _word_of(datum, tuple(-c for c in rho(datum)))
-
-
-def left_descents(datum, word):
-    """{i: canonical word of s_i w} over the left descents i of w, in index order.
-
-    A left descent of w is an i with length(s_i w) < length(w): <w(rho), h_i> < 0.
-    """
-    mu = element_key(datum, word)
-    return {i: _word_of(datum, _step(datum, i, mu)) for i, c in enumerate(mu, 1) if c < 0}
+    mu, word = tuple(-c for c in rho(datum)), []
+    while i := _descent(mu):  # w's least left descent, then on to s_i w
+        word.append(i)
+        mu = _step(datum, i, mu)
+    return tuple(word)
 
 
 def _solve_root_coords(datum, mu):

@@ -6,8 +6,7 @@ import pytest
 import qcrystal as qc
 import weyl_reference
 from qcrystal.character import FormalCharacter, demazure_operator
-from qcrystal.demazure import (DemazureCrystal, _gather, _partition_error, _string_rule,
-                               _subset_levels)
+from qcrystal.demazure import _gather, _partition_error, _string_rule, _subset_levels
 from qcrystal.root_data import _coset_words, _orbit_walk, apply_word
 
 
@@ -41,14 +40,14 @@ def tampered(graph, edges=None, cls=qc.CrystalGraph, **rows):
                graph.runs, columns["weight"], columns["eps"], columns["phi"], children)
 
 
-def string_rule(dc, i):
-    """(string verdict, filtration verdict) of ``dc`` for index i, as ``verify`` reads them.
+def string_rule(graph, members, i):
+    """(string verdict, filtration verdict) of ``members`` for index i, as ``verify`` reads them.
 
-    ``demazure._string_rule`` on dc's members, once ``_partition_error``
-    accepts the i-edges as a partition into strings.
+    ``demazure._string_rule``, once ``_partition_error`` accepts the i-edges
+    as a partition into strings.
     """
-    assert _partition_error(dc.graph, i) is None
-    return _string_rule(dc.graph, dc.members, i, _gather(dc.members))
+    assert _partition_error(graph, i) is None
+    return _string_rule(graph, members, i, _gather(members))
 
 
 def by_word(graph):
@@ -58,7 +57,7 @@ def by_word(graph):
     character ``_orbit_walk`` with one ``demazure_operator`` memo, value each
     point of W.lambda once.  Each canonical word w of
     ``weyl_reference.weyl_group`` reads the values at its point w(lambda):
-    ``subsets[w]`` is their DemazureCrystal, ``characters[w]`` their
+    ``subsets[w]`` is their frozenset of members, ``characters[w]`` their
     character.  ``witness`` is None when the walk's comparisons all agree,
     else the first point's ``(w, disagreement)``.
     """
@@ -74,6 +73,5 @@ def by_word(graph):
             witness = (w, disagreement)
     subsets, characters = {}, {}
     for w in weyl_reference.weyl_group(datum):
-        members, characters[w] = points[orbit.index[apply_word(datum, w, lam)]]
-        subsets[w] = DemazureCrystal(graph, w, members)
+        subsets[w], characters[w] = points[orbit.index[apply_word(datum, w, lam)]]
     return subsets, characters, witness

@@ -12,7 +12,8 @@ a columnar graph, and ``CrystalElement.steps`` decodes its runs with
 ``fraction_kernel.grid_steps``.  Like the library graph, it has no
 ``Fraction`` path accessor.  ``char_of`` is kept here too, in its form
 that called ``graph.weight`` per member, since the library's reads a
-weight column.
+weight column.  Its Demazure subsets are frozensets of ids, as the
+library's are, and its ``left_descents`` is ``weyl_reference``'s.
 On i-edges that are no partition it reports as the library does:
 ``_saturate`` is plain reachability, and ``run_verify`` fails the string
 and filtration rows with the message of its ``i_strings`` instead of
@@ -31,11 +32,10 @@ from qcrystal.character import (FormalCharacter, demazure_operator, weyl_charact
 from qcrystal.crystal import (DEFAULT_MAX_ELEMENTS, ResourceCapError,
                               _denominator, _lower, _lower_runs, _Orbit,
                               _reversed_runs, _run_heights, _string_data)
-from qcrystal.demazure import DemazureCrystal
-from qcrystal.root_data import (_check_rank, cartan_datum, left_descents,
-                                longest_word, weyl_group)
+from qcrystal.root_data import _check_rank, cartan_datum, longest_word, weyl_group
 from fraction_kernel import grid_steps
 from string_reference import IString
+from weyl_reference import left_descents
 
 log = logging.getLogger(__name__)
 
@@ -223,7 +223,7 @@ def demazure_subsets(graph):
     """Every B_w(lambda) in one pass over the weak order, by increasing length.
 
     Returns (subsets, witness).  ``subsets`` maps each canonical word w (in
-    ``weyl_group`` order) to its DemazureCrystal, built as the f_tilde_i
+    ``weyl_group`` order) to its frozenset of members, the f_tilde_i
     closure of B_{s_i w} for the first letter i of w, which is the subset
     ``demazure_crystal(graph, w)`` cuts.  The closure is also taken for
     every other left descent j of w; ``witness`` is None when all of them
@@ -240,7 +240,7 @@ def demazure_subsets(graph):
             if witness is None and other != first:
                 witness = (w, ("left descents disagree", w[0], j, min(first ^ other)))
         members[w] = first
-    return {w: DemazureCrystal(graph, w, m) for w, m in members.items()}, witness
+    return members, witness
 
 
 def i_strings(graph, i):
@@ -291,33 +291,31 @@ def string_index(graph, i):
     return index
 
 
-def _partial_strings(dc, i):
-    """(string, sorted hit) for each i-string dc meets but does not contain, in top order."""
-    strings, where = string_index(dc.graph, i)
-    members = dc.members
+def _partial_strings(graph, members, i):
+    """(string, sorted hit) per i-string ``members`` meets but does not contain, in top order."""
+    strings, where = string_index(graph, i)
     count = Counter(map(where.__getitem__, members))
     for n in sorted(n for n, c in count.items() if c < len(strings[n].members)):
         s = strings[n]
         yield s, tuple(sorted(members.intersection(s.members)))
 
 
-def verify_string_property(dc, i):
+def verify_string_property(graph, members, i):
     """Each i-string meets the subset in itself, its top alone, or nothing."""
-    for s, hit in _partial_strings(dc, i):
+    for s, hit in _partial_strings(graph, members, i):
         if hit != (s.top,):
             return False, (i, s.top, hit)
     return True, None
 
 
-def verify_filtration_structure(dc, i):
+def verify_filtration_structure(graph, members, i):
     """Each layer meets each i-string in the whole string or a dominant top.
 
     The singleton case must be the string's top and must carry i-weight
     l > 0; that is what makes the corresponding filtration quotient a
     dominant line rather than a truncated string.
     """
-    graph = dc.graph
-    for s, hit in _partial_strings(dc, i):
+    for s, hit in _partial_strings(graph, members, i):
         if len(hit) == 1:
             (b,) = hit
             l = graph.eps(b, i) + graph.phi(b, i)
@@ -344,16 +342,16 @@ def demazure_characters(datum, lam):
     return chars
 
 
-def _corrupt(dc):
+def _corrupt(graph, members):
     """Drop the top of the first i-string (lowest i, then top) met in its top and child.
 
     The string then meets the subset below its top alone, so the string
     property must fail.
     """
-    for i in dc.graph.indices():
-        for s in string_index(dc.graph, i)[0]:
-            if s.length >= 1 and s.top in dc.members and s.members[1] in dc.members:
-                return DemazureCrystal(dc.graph, dc.word, dc.members - {s.top})
+    for i in graph.indices():
+        for s in string_index(graph, i)[0]:
+            if s.length >= 1 and s.top in members and s.members[1] in members:
+                return members - {s.top}
     raise RuntimeError("no string long enough to corrupt")
 
 
@@ -367,11 +365,11 @@ def _partition_error(graph):
     return None
 
 
-def _first_failure(subsets, check, indices):
+def _first_failure(graph, subsets, check, indices):
     """(True, None), or (False, (w, witness)) for the first failing (w, i)."""
-    for w, dc in subsets.items():
+    for w, members in subsets.items():
         for i in indices:
-            good, wit = check(dc, i)
+            good, wit = check(graph, members, i)
             if not good:
                 return False, (w, wit)
     return True, None
@@ -393,7 +391,7 @@ def run_verify(job):
     checked = dict(subsets)
     if job.inject_failure and broken is None:
         top_word = longest_word(datum)
-        checked[top_word] = _corrupt(checked[top_word])
+        checked[top_word] = _corrupt(graph, checked[top_word])
         log.info("injected a corrupted subset for %s", top_word)
 
     rows = []
@@ -402,8 +400,8 @@ def run_verify(job):
     rows.append(("normal-crystal-relations", ok, witness))
 
     if broken is None:
-        strings = _first_failure(checked, verify_string_property, datum.indices())
-        layers = _first_failure(checked, verify_filtration_structure, datum.indices())
+        strings = _first_failure(graph, checked, verify_string_property, datum.indices())
+        layers = _first_failure(graph, checked, verify_filtration_structure, datum.indices())
     else:
         strings = layers = False, broken
     rows.append((f"string-property ({len(subsets)} words x {datum.rank} indices)", *strings))
@@ -413,8 +411,8 @@ def run_verify(job):
 
     chars = demazure_characters(datum, job.weight)
     ok, witness = True, None
-    for w, dc in subsets.items():
-        if char_of(dc.members, graph) != chars[w]:
+    for w, members in subsets.items():
+        if char_of(members, graph) != chars[w]:
             ok, witness = False, (w, "character mismatch")
             break
     rows.append(("demazure-character-formula", ok, witness))

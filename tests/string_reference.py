@@ -48,21 +48,20 @@ def i_strings(graph, i):
     return strings
 
 
-def string_property(dc, i):
-    """Each i-string meets the subset in itself, its top alone, or nothing."""
-    for s in i_strings(dc.graph, i):
-        hit = dc.members.intersection(s.members)
+def string_property(graph, members, i):
+    """Each i-string meets the subset ``members`` in itself, its top alone, or nothing."""
+    for s in i_strings(graph, i):
+        hit = members.intersection(s.members)
         if hit == set(s.members) or not hit or hit == {s.top}:
             continue
         return False, (i, s.top, tuple(sorted(hit)))
     return True, None
 
 
-def filtration_structure(dc, i):
-    """Each layer meets each i-string in the whole string or a dominant top."""
-    graph = dc.graph
+def filtration_structure(graph, members, i):
+    """Each layer ``members`` meets each i-string in the whole string or a dominant top."""
     for s in i_strings(graph, i):
-        hit = dc.members.intersection(s.members)
+        hit = members.intersection(s.members)
         if not hit or hit == set(s.members):
             continue
         if len(hit) == 1:
@@ -75,17 +74,17 @@ def filtration_structure(dc, i):
     return True, None
 
 
-def quotient_strings(big, small, i):
-    """(big minus small, witness) for a covering pair B_w over B_{s_i w}.
+def quotient_strings(graph, big, small, i):
+    """(big minus small, witness) for a covering pair B_w over B_{s_i w}, as sets of ids.
 
     The difference must be a disjoint union of i-strings each missing
     exactly its top, the top lying in ``small``; the witness is None when
     it is, else (i, top, hit) for the first string, by top, that is not.
     The caller vouches that the pair covers along the letter i.
     """
-    diff = big.members - small.members
-    for s in i_strings(big.graph, i):
+    diff = big - small
+    for s in i_strings(graph, i):
         hit = diff.intersection(s.members)
-        if hit and not (hit == set(s.members[1:]) and s.top in small.members):
+        if hit and not (hit == set(s.members[1:]) and s.top in small):
             return diff, (i, s.top, tuple(sorted(hit)))
     return diff, None

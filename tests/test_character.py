@@ -7,8 +7,7 @@ import pytest
 from conftest import by_word
 from qcrystal import cli
 from qcrystal.character import (FormalCharacter, apply_demazure_word, char_of,
-                                demazure_operator, verify_demazure_character,
-                                weyl_character, weyl_dimension)
+                                demazure_operator, weyl_character, weyl_dimension)
 from qcrystal.crystal import generate_crystal
 from qcrystal.demazure import demazure_crystal, extremal_weights
 from qcrystal.root_data import cartan_datum, longest_word, reflect, simple_root, weyl_group
@@ -101,32 +100,31 @@ def test_demazure_operator_linearity():
 
 def test_verify_demazure_character_examples(graph_of):
     graph = graph_of("A2", (1, 1))
-    ok, _ = verify_demazure_character(graph, (1, 1), ())
-    assert ok
+    top = FormalCharacter.monomial((1, 1))
+    assert char_of(demazure_crystal(graph, ()), graph) == apply_demazure_word(A2, (), top) == top
     chain = graph_of("A1", (2,))
-    ok, _ = verify_demazure_character(chain, (2,), (1,))
-    assert ok
     both = apply_demazure_word(A1, (1,), FormalCharacter.monomial((2,)))
+    assert char_of(demazure_crystal(chain, (1,)), chain) == both
     assert both == FormalCharacter({(2,): 1, (0,): 1, (-2,): 1})
 
 
 def test_demazure_character_all_words(graph_of):
     for name in ("A2", "B2"):
         graph = graph_of(name, (1, 1))
-        datum = graph.datum
+        datum, top = graph.datum, FormalCharacter.monomial((1, 1))
         for w in weyl_group(datum):
             for u in all_reduced_words(datum, w):
-                ok, witness = verify_demazure_character(graph, (1, 1), u)
-                assert ok, (name, u)
+                got = char_of(demazure_crystal(graph, u), graph)
+                assert got == apply_demazure_word(datum, u, top), (name, u)
 
 
 def test_demazure_character_mismatch_reports_both_sides(graph_of):
     graph = graph_of("A2", (1, 1))
-    ok, pair = verify_demazure_character(graph, (1, 1), (1,))
-    assert ok and pair is None
+    got = char_of(demazure_crystal(graph, (1,)), graph)
+    assert got == apply_demazure_word(A2, (1,), FormalCharacter.monomial((1, 1)))
     # non-reduced words are rejected before any character is computed
     with pytest.raises(ValueError):
-        verify_demazure_character(graph, (1, 1), (2, 2))
+        demazure_crystal(graph, (2, 2))
 
 
 def test_weyl_character_examples():
@@ -225,7 +223,7 @@ def test_weyl_character_is_weyl_invariant_but_demazure_is_not(graph_of):
         reflected = FormalCharacter(
             (reflect(A2, i, w), m) for w, m in full.items())
         assert reflected == full
-    partial = char_of(demazure_crystal(graph, (1,)).members, graph)
+    partial = char_of(demazure_crystal(graph, (1,)), graph)
     reflected = FormalCharacter((reflect(A2, 2, w), m) for w, m in partial.items())
     assert reflected != partial
 

@@ -419,6 +419,23 @@ def test_crystal_log_env_smoke():
     assert b"unknown CRYSTAL_LOG" in noisy.stderr
 
 
+@pytest.mark.parametrize("levels", [("error", "info"), ("info", "error")])
+def test_crystal_log_takes_effect_on_every_main_call(levels):
+    # logging.basicConfig acts once per process; each main() must still read CRYSTAL_LOG
+    script = ("import os, sys\n"
+              "from qcrystal import cli\n"
+              "for level in sys.argv[1:]:\n"
+              "    os.environ['CRYSTAL_LOG'] = level\n"
+              "    cli.main(['verify', '--type', 'A2', '--weight', '1,0', '--out', os.devnull])\n"
+              "    print('end of call', file=sys.stderr, flush=True)\n")
+    result = subprocess.run([sys.executable, "-c", script, *levels], capture_output=True)
+    assert result.returncode == 0, result.stderr
+    calls = result.stderr.decode().split("end of call\n")
+    phases = [sum(line.startswith("qcrystal INFO: verify phase ") for line in call.splitlines())
+              for call in calls]
+    assert phases == [5 if level == "info" else 0 for level in levels] + [0]
+
+
 def test_main_direct_invocation(capsys):
     code = main(["crystal", "--type", "A1", "--weight", "1", "--format", "dot"])
     assert code == EXIT_OK

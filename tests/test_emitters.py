@@ -28,7 +28,7 @@ def _cases(graph_of):
         yield graph_of(name, (0,) * datum.rank), None
         graph = graph_of(name, (1,) * datum.rank)
         yield graph, None
-        yield graph, qc.demazure_crystal(graph, qc.longest_word(datum)[:2]).members
+        yield graph, qc.demazure_crystal(graph, qc.longest_word(datum)[:2])
     yield graph_of("G2", (3, 3)), None  # 4096 elements: several chunks
 
 

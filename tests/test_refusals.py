@@ -4,18 +4,20 @@ One parametrized test per module.  A case is a callable of ``monkeypatch``
 and the ``graph_of`` fixture that must raise; the internal invariants
 (``weyl_dimension``'s and Freudenthal's remainders, a non-integral endpoint
 height, the generation cap) are reached by monkeypatching the helper each
-one guards.  Two witnesses that a check returns instead of raising are
-pinned below the refusals, one of them that of the test reference
+one guards.  One witness that a check returns instead of raising is
+pinned below the refusals, that of the test reference
 ``string_reference.quotient_strings``.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from conftest import tampered
 from qcrystal import character, crystal, qarith, rank_one, root_data
-from qcrystal.character import FormalCharacter, verify_demazure_character
+from qcrystal.character import FormalCharacter
 from qcrystal.crystal import PathKernelError, ResourceCapError
-from qcrystal.demazure import DemazureCrystal, demazure_crystal, extremal_element
+from qcrystal.demazure import demazure_crystal, extremal_element
 from qcrystal.qarith import ExactDivisionError, LaurentPoly
 from qcrystal.root_data import CartanDatum, cartan_datum
 from string_reference import quotient_strings
@@ -49,9 +51,21 @@ def _raises(case, exc, message, monkeypatch, graph_of):
 
 
 CHARACTER = {
-    "highest weight mismatch": (
-        lambda mp, g: verify_demazure_character(_a2(g), (1, 0), (1,)),
-        ValueError, "graph highest weight does not match lam"),
+    "float weight coordinate": (
+        lambda mp, g: FormalCharacter({(1.5, 0): 1}),
+        TypeError, "weight coordinate 1 is 1.5, not an int"),
+    "Fraction weight coordinate": (
+        lambda mp, g: FormalCharacter({(Fraction(2), 0): 1}),
+        TypeError, "weight coordinate 1 is Fraction(2, 1), not an int"),
+    "monomial float coordinate": (
+        lambda mp, g: FormalCharacter.monomial((0, 0.5)),
+        TypeError, "weight coordinate 2 is 0.5, not an int"),
+    "float multiplicity": (
+        lambda mp, g: FormalCharacter({(1, 0): 1.5}),
+        TypeError, "multiplicity 1.5 is not an int"),
+    "Fraction multiplicity": (
+        lambda mp, g: FormalCharacter([((1, 0), Fraction(1))]),
+        TypeError, "multiplicity Fraction(1, 1) is not an int"),
     "non-integral Weyl dimension": (
         _patched(character, "_coroots", lambda datum: ((1, 1),),
                  lambda: character.weyl_dimension(A2, (1, 0))),
@@ -158,12 +172,10 @@ ROOT_DATA = {
     "outside the root lattice": (lambda mp, g: root_data.root_coords(A2, (1, 0)),
                                  ValueError, "(1, 0) is not in the root lattice of A2"),
 }
-# every word query reads its word last letter first, so the 0 is refused before the 5
-ROOT_DATA.update({
-    f"{query} letter out of range": (
-        lambda mp, g, query=query: getattr(root_data, query)(A2, (1, 5, 0)),
-        IndexError, "simple-root index 0 out of range 1..2")
-    for query in ("canonical_word", "is_reduced", "left_descents", "element_key")})
+# is_reduced reads its word last letter first, so the 0 is refused before the 5
+ROOT_DATA["is_reduced letter out of range"] = (
+    lambda mp, g: root_data.is_reduced(A2, (1, 5, 0)),
+    IndexError, "simple-root index 0 out of range 1..2")
 # is_reduced checks every letter: a bad one left of a non-reduced suffix still raises
 ROOT_DATA["is_reduced letter left of a repeat"] = (
     lambda mp, g: root_data.is_reduced(A2, (5, 1, 1)),
@@ -175,16 +187,8 @@ def test_root_data_refusals(name, monkeypatch, graph_of):
     _raises(*ROOT_DATA[name], monkeypatch, graph_of)
 
 
-def test_demazure_character_witness_is_both_sides(graph_of):
-    # without its 1-edge from the top, B_{s_1}(lambda) is the top alone
-    graph = _a2_without_top_1_edge(graph_of)
-    ok, witness = verify_demazure_character(graph, (1, 1), (1,))
-    top = FormalCharacter.monomial((1, 1))
-    assert (ok, witness) == (False, (top, top + FormalCharacter.monomial((-1, 2))))
-
-
 def test_quotient_strings_witness_names_the_string(graph_of):
     graph = _a2(graph_of)
-    big = DemazureCrystal(graph, (1,), frozenset({0, 1, 2}))  # 2 tops the 1-string (2, 3, 5)
-    diff, witness = quotient_strings(big, demazure_crystal(graph, ()), 1)
+    big = frozenset({0, 1, 2})  # 2 tops the 1-string (2, 3, 5)
+    diff, witness = quotient_strings(graph, big, demazure_crystal(graph, ()), 1)
     assert (diff, witness) == (frozenset({1, 2}), (1, 2, (2,)))

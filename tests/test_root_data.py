@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcrystal.root_data import (CartanDatum, apply_word, canonical_word,
-                                cartan_datum, dominance_leq, element_key,
-                                is_reduced, longest_word, positive_roots,
-                                reflect, rho, simple_root, supported_types,
-                                weyl_group, weyl_order)
-from weyl_reference import all_reduced_words
+from qcrystal.root_data import (CartanDatum, apply_word, cartan_datum, dominance_leq,
+                                is_reduced, longest_word, positive_roots, reflect,
+                                rho, simple_root, supported_types, weyl_group, weyl_order)
+from weyl_reference import all_reduced_words, canonical_word, element_key
 
 WEYL_ORDERS = {"A1": 2, "A2": 6, "A3": 24, "A4": 120, "B2": 8, "B3": 48,
                "C3": 48, "D4": 192, "G2": 12}

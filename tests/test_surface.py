@@ -16,15 +16,15 @@ from pathlib import Path
 import qcrystal
 
 PUBLIC = [
-    "CartanDatum", "CrystalGraph", "DEFAULT_MAX_ELEMENTS", "DemazureCrystal",
+    "CartanDatum", "CrystalGraph", "DEFAULT_MAX_ELEMENTS",
     "ExactDivisionError", "FormalCharacter", "LaurentPoly", "PathKernelError",
     "RankOneModule", "ResourceCapError", "act_K", "act_divided_f", "act_e", "act_f",
-    "apply_demazure_word", "apply_word", "bar", "canonical_word", "cartan_datum",
+    "apply_demazure_word", "apply_word", "bar", "cartan_datum",
     "char_of", "crystal_f_tilde", "demazure_crystal", "demazure_operator",
     "dominance_leq", "eval_at_one", "extremal_element", "extremal_weights",
     "generate_crystal", "is_dominant", "is_reduced", "iterated_f_over_factorial",
-    "left_descents", "longest_word", "positive_roots", "qbinom", "qfact", "qint",
-    "reflect", "rho", "simple_root", "supported_types", "verify_demazure_character",
+    "longest_word", "positive_roots", "qbinom", "qfact", "qint",
+    "reflect", "rho", "simple_root", "supported_types",
     "verify_normal", "verify_sl2_relation", "weyl_character", "weyl_dimension",
     "weyl_group", "weyl_orbit", "weyl_order",
 ]

@@ -8,7 +8,6 @@ single-word, every-reduced-word or intersection-loop form it replaced in
 ``run_verify``.
 """
 
-import dataclasses
 import json
 import logging
 
@@ -19,7 +18,7 @@ from conftest import by_word, string_rule, tampered
 from qcrystal import cli
 from qcrystal.character import FormalCharacter, apply_demazure_word
 from qcrystal.demazure import _partition_error, demazure_crystal
-from qcrystal.root_data import cartan_datum, left_descents, weyl_group, weyl_order
+from qcrystal.root_data import weyl_group, weyl_order
 from string_reference import filtration_structure, i_strings, string_property
 from weyl_reference import all_reduced_words
 
@@ -37,19 +36,6 @@ def _tampered_a2(graph_of):
     return tampered(graph, edges)
 
 
-def test_left_descents():
-    a2 = cartan_datum("A2")
-    assert left_descents(a2, ()) == {}
-    assert left_descents(a2, (1, 2)) == {1: (2,)}
-    assert left_descents(a2, (2, 1, 2)) == {1: (2, 1), 2: (1, 2)}
-    for name in ("B2", "G2", "A3"):
-        datum = cartan_datum(name)
-        for w in weyl_group(datum)[1:]:
-            descents = left_descents(datum, w)
-            assert w[0] == min(descents) and descents[w[0]] == w[1:]
-            assert all(len(v) == len(w) - 1 for v in descents.values())
-
-
 @pytest.mark.parametrize("name,lam", ACCEPTANCE + [("D4", (1, 1, 1, 1))])
 def test_subsets_and_characters_match_single_words(name, lam, graph_of):
     graph = graph_of(name, lam)
@@ -60,15 +46,14 @@ def test_subsets_and_characters_match_single_words(name, lam, graph_of):
     assert tuple(subsets) == group and tuple(chars) == group
     top = FormalCharacter.monomial(lam)
     for w in group:
-        assert subsets[w].word == w and subsets[w].graph is graph
-        assert subsets[w].members == demazure_crystal(graph, w).members
+        assert subsets[w] == demazure_crystal(graph, w)
         assert chars[w] == apply_demazure_word(datum, w, top)
 
 
 def _word_dependent(graph):
     """The w in W whose reduced words do not all cut the same subset."""
     return [w for w in weyl_group(graph.datum)
-            if len({demazure_crystal(graph, u).members
+            if len({demazure_crystal(graph, u)
                     for u in all_reduced_words(graph.datum, w)}) > 1]
 
 
@@ -86,24 +71,24 @@ def test_independence_verdict_on_tampered_graph(graph_of):
     per_word = _word_dependent(graph)
     assert per_word == [(1, 2, 1)]
     assert witness == ((1, 2, 1), ("left descents disagree", 1, 2, 4))
-    left = demazure_crystal(graph, (1, 2, 1)).members
-    right = demazure_crystal(graph, (2, 1, 2)).members
+    left = demazure_crystal(graph, (1, 2, 1))
+    right = demazure_crystal(graph, (2, 1, 2))
     assert min(left ^ right) == 4
 
 
-def _variants(dc):
-    """dc itself, dc corrupted as ``--inject-failure`` does, one member dropped, one added."""
-    yield dc
+def _variants(graph, members):
+    """members, corrupted as ``--inject-failure`` does, one member dropped, one added."""
+    yield members
     try:
-        yield dataclasses.replace(dc, members=cli._corrupt(dc.graph, dc.members))
+        yield cli._corrupt(graph, members)
     except RuntimeError:
         pass
-    members = sorted(dc.members)
-    outside = sorted(set(dc.graph.all_ids()) - dc.members)
-    if len(members) > 1:
-        yield dataclasses.replace(dc, members=dc.members - {members[len(members) // 2]})
+    ids = sorted(members)
+    outside = sorted(set(graph.all_ids()) - members)
+    if len(ids) > 1:
+        yield members - {ids[len(ids) // 2]}
     if outside:
-        yield dataclasses.replace(dc, members=dc.members | {outside[-1]})
+        yield members | {outside[-1]}
 
 
 @pytest.mark.parametrize("name,lam", ACCEPTANCE + [("C3", (1, 0, 1)), ("A3", (1, 1, 1)),
@@ -112,10 +97,11 @@ def test_string_checks_match_intersection_loops(name, lam, graph_of):
     graph = graph_of(name, lam)
     failures = 0
     for w in weyl_group(graph.datum):
-        for dc in _variants(demazure_crystal(graph, w)):
+        for members in _variants(graph, demazure_crystal(graph, w)):
             for i in graph.indices():
-                expected = string_property(dc, i), filtration_structure(dc, i)
-                assert string_rule(dc, i) == expected, (w, i)
+                expected = (string_property(graph, members, i),
+                            filtration_structure(graph, members, i))
+                assert string_rule(graph, members, i) == expected, (w, i)
                 failures += not expected[0][0]
     # the corrupted variants do exercise the failure witnesses
     assert failures > 0 or len(graph) == 1
@@ -133,9 +119,9 @@ def test_verify_builds_each_string_partition_once(monkeypatch, capsys):
     assert sorted(calls) == [1, 2, 3, 4]
 
 
-def test_verify_logs_no_sampling_warnings(caplog, capsys):
-    with caplog.at_level(logging.WARNING, logger="qcrystal"):
-        assert cli.main(["verify", "--type", "D4", "--weight", "1,0,0,0"]) == cli.EXIT_OK
+def test_verify_logs_no_sampling_warnings(caplog, capsys, monkeypatch):
+    monkeypatch.setenv("CRYSTAL_LOG", "info")  # main sets the qcrystal level from it
+    assert cli.main(["verify", "--type", "D4", "--weight", "1,0,0,0"]) == cli.EXIT_OK
     assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
     assert "result: PASS" in capsys.readouterr().out
 
@@ -188,10 +174,11 @@ def test_string_checks_match_intersection_loops_on_a_lone_top(name, lam, weight,
     lone_top = tampered(graph, weight={0: weight}, phi={0: phi})
     rules = set()
     for w in weyl_group(lone_top.datum):
-        for dc in _variants(demazure_crystal(lone_top, w)):
+        for members in _variants(lone_top, demazure_crystal(lone_top, w)):
             for i in lone_top.indices():
-                expected = string_property(dc, i), filtration_structure(dc, i)
-                assert string_rule(dc, i) == expected, (w, i)
+                expected = (string_property(lone_top, members, i),
+                            filtration_structure(lone_top, members, i))
+                assert string_rule(lone_top, members, i) == expected, (w, i)
                 layered, witness = expected[1]
                 if not layered:
                     rules.add(witness[0])

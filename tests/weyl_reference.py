@@ -8,6 +8,8 @@ depth-first search for ``weyl_orbit``.  Both, and the word functions on top
 of them, are kept here as written then, acting through ``reflect`` and
 ``apply_word`` only, so the differential tests in ``test_weyl_table.py``
 share no orbit search and no descent rule with the code they check.
+``element_key``, ``canonical_word`` and ``left_descents`` have no library
+twin: the other test references and the tests read them from here.
 ``all_reduced_words`` lists every reduced word of an element off the same
 table; the tests read it to run a check over each word of an element.  Do
 not import it from ``src/``.

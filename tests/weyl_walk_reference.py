@@ -6,8 +6,9 @@ walked every element w of W in ``weyl_group`` order and compared the
 f_tilde_i closures of all left descents of each w, and ``run_verify``
 corrupted B_{w0} by its word.  The three functions below are that version,
 unchanged except that ``run_verify`` reads both walks from this module,
-hands ``cli._corrupt`` the graph and member set, and raises
-``demazure._partition_error``'s message where it listed the i-strings.
+hands ``cli._corrupt`` the graph and member set, reads ``left_descents``
+from ``weyl_reference`` and raises ``demazure._partition_error``'s message
+where it listed the i-strings.
 ``test_weyl_walk_reference.py`` diffs the orbit walk against it.  Do not
 import it from ``src/``.
 """
@@ -19,9 +20,9 @@ from qcrystal import demazure
 from qcrystal.character import (FormalCharacter, char_of, demazure_operator,
                                 weyl_character, weyl_dimension)
 from qcrystal.cli import _corrupt, _phase, generate_crystal, log, verify_normal
-from qcrystal.demazure import DemazureCrystal, _saturate
-from qcrystal.root_data import (cartan_datum, left_descents, longest_word,
-                                weyl_group, weyl_order)
+from qcrystal.demazure import _saturate
+from qcrystal.root_data import cartan_datum, longest_word, weyl_group, weyl_order
+from weyl_reference import left_descents
 
 
 def _subset_levels(graph):
@@ -103,13 +104,13 @@ def run_verify(job):
     walk = zip(_subset_levels(graph), _character_levels(datum, job.weight))
     for (w, members, disagreement, live), (_, chi) in walk:
         peak = max(peak, live)
-        dc = DemazureCrystal(graph, w, members)
+        checked = members
         if job.inject_failure and w == top_word:
-            dc = DemazureCrystal(graph, w, _corrupt(graph, members))
+            checked = _corrupt(graph, members)
             log.info("injected a corrupted subset for %s", w)
-        gather = demazure._gather(dc.members)
+        gather = demazure._gather(checked)
         for i in indices:
-            (good, wit), (layered, layer_wit) = demazure._string_rule(graph, dc.members, i, gather)
+            (good, wit), (layered, layer_wit) = demazure._string_rule(graph, checked, i, gather)
             if strings is None and not good:
                 strings = (w, wit)
             if filtration is None and not layered:
