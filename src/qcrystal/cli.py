@@ -1,18 +1,18 @@
 """Command-line front end.
 
-Subcommands: crystal, demazure, character, rank-one, verify.  The job is
-the argparse namespace that ``parse_args`` validates; ``_run`` does all
-the work that can fail and returns an exit code and a producer, which
-``_write`` points at the ``--out`` file or at stdout's binary buffer.
-Output is written in chunks of about ``_CHUNK_CHARS`` characters: the
-crystal emitters format one element or edge at a time and the rank-one
-table one line at a time, so no full document is held in memory, and
-nothing is decoded on the way out.  Output is deterministic byte for
-byte: element ids are BFS order, edges and members are emitted sorted,
-and JSON key order is fixed.  Exit codes: 0 success, 1 verification
-failure (also a path kernel invariant failure), 2 usage error, 3 output
-write failure (also when a reader closes stdout early), 4 resource cap
-exceeded.  Set CRYSTAL_LOG to error, info or debug to adjust logging.
+Subcommands: crystal, demazure, character, rank-one, verify.  The job is the
+argparse namespace that ``parse_args`` validates; ``_run`` does all the work
+that can fail and returns an exit code and a producer, which ``_write``
+points at the ``--out`` file or at stdout's binary buffer: every emitter
+takes that ``write`` sink last and returns nothing.  The crystal emitters
+format one element or edge at a time and the rank-one table one line at a
+time, in chunks of about ``_CHUNK_CHARS`` characters, so no full document is
+held in memory and nothing is decoded on the way out.  Output is
+deterministic byte for byte: element ids are BFS order, edges and members
+are emitted sorted, and JSON key order is fixed.  Exit codes: 0 success, 1
+verification failure (also a path kernel invariant failure), 2 usage error,
+3 output write failure (also when a reader closes stdout early), 4 resource
+cap exceeded.  Set CRYSTAL_LOG to error, info or debug to adjust logging.
 """
 
 import argparse
@@ -127,14 +127,7 @@ _CHUNK_CHARS = 32_768
 
 
 def _emit(pieces, write):
-    """Hand the pieces to ``write`` as bytes, in chunks of about ``_CHUNK_CHARS``.
-
-    With ``write`` None the chunks are collected and their bytes returned.
-    """
-    if write is None:
-        chunks = []
-        _emit(pieces, chunks.append)
-        return b"".join(chunks)
+    """Hand the pieces to ``write`` as bytes, in chunks of about ``_CHUNK_CHARS``."""
     batch, size = [], 0
     for piece in pieces:
         batch.append(piece)
@@ -144,7 +137,6 @@ def _emit(pieces, write):
             batch, size = [], 0
     if batch:
         write("".join(batch).encode())
-    return None
 
 
 def _json_ints(values, indent):
@@ -177,14 +169,12 @@ def _json_pieces(graph, members):
     yield "\n}\n"
 
 
-def emit_json(graph, members=None, write=None):
-    """Deterministic JSON for a crystal or a Demazure subset of it.
+def emit_json(graph, members, write):
+    """Deterministic JSON for a crystal, with a Demazure subset's members unless they are None.
 
-    The layout is that of ``json.dumps(indent=2)``, formatted one element
-    or edge at a time.  The bytes go to ``write`` in chunks, or are
-    returned whole when ``write`` is None.
+    The layout is that of ``json.dumps(indent=2)``; bytes go to ``write`` in chunks.
     """
-    return _emit(_json_pieces(graph, members), write)
+    _emit(_json_pieces(graph, members), write)
 
 
 def _dot_pieces(graph, members):
@@ -198,12 +188,9 @@ def _dot_pieces(graph, members):
     yield "}\n"
 
 
-def emit_dot(graph, members=None, write=None):
-    """Deterministic DOT digraph, nodes labeled by weight, edges by index.
-
-    Bytes go to ``write`` in chunks, or are returned whole when it is None.
-    """
-    return _emit(_dot_pieces(graph, members), write)
+def emit_dot(graph, members, write):
+    """Deterministic DOT digraph, nodes labeled by weight, edges by index; bytes go to ``write``."""
+    _emit(_dot_pieces(graph, members), write)
 
 
 def _text_pieces(graph, members):
@@ -222,15 +209,13 @@ def _text_pieces(graph, members):
         yield f"  {b} -{i}-> {child}\n"
 
 
-def emit_text(graph, members=None, write=None):
-    """One line per element, then one per edge.
-
-    Bytes go to ``write`` in chunks, or are returned whole when it is None.
-    """
-    return _emit(_text_pieces(graph, members), write)
+def emit_text(graph, members, write):
+    """One line per element, then one per edge; bytes go to ``write`` in chunks."""
+    _emit(_text_pieces(graph, members), write)
 
 
-def emit_character(datum, lam, word, chi, fmt):
+def emit_character(datum, lam, word, chi, fmt, write):
+    """chi as JSON when fmt is json, else as its rendered sum; bytes go to ``write``."""
     if fmt == "json":
         payload = {
             "family": datum.family,
@@ -239,8 +224,9 @@ def emit_character(datum, lam, word, chi, fmt):
             "word": list(word) if word is not None else None,
             "character": [{"weight": list(w), "mult": m} for w, m in chi.items()],
         }
-        return (json.dumps(payload, indent=2) + "\n").encode()
-    return (chi.render() + "\n").encode()
+        write((json.dumps(payload, indent=2) + "\n").encode())
+    else:
+        write((chi.render() + "\n").encode())
 
 
 def _action_line(name, k, n, target, text):
@@ -276,19 +262,14 @@ def _rank_one_pieces(m, ok):
     yield f"sl2 relation (ef - fe = [lambda - 2k]): {'ok' if ok else 'VIOLATED'}\n"
 
 
-def emit_rank_one(lam, write=None, ok=None):
+def emit_rank_one(lam, ok, write):
     """The rank-one table of V(lambda): the f, e and K actions, the chain, the sl2 check.
 
-    ``ok`` is the verdict of ``verify_sl2_relation`` on V(lambda); when it
-    is None the relation is checked here, before the first byte is written.
-    Lines are formatted one at a time; only the e-line coefficient texts,
-    printed after every f-line, are held.  Bytes go to ``write`` in chunks,
-    or are returned whole when it is None.
+    ``ok`` is the verdict of ``verify_sl2_relation`` on V(lambda).  Lines
+    are formatted one at a time; only the e-line coefficient texts, printed
+    after every f-line, are held.  Bytes go to ``write`` in chunks.
     """
-    m = RankOneModule(lam)
-    if ok is None:
-        ok, _ = verify_sl2_relation(m)
-    return _emit(_rank_one_pieces(m, ok), write)
+    _emit(_rank_one_pieces(RankOneModule(lam), ok), write)
 
 
 # -- verification suite ---------------------------------------------------
@@ -389,7 +370,8 @@ def run_verify(job):
     return rows, all(ok for _, ok, _ in rows)
 
 
-def _verify_output(job, rows, ok):
+def _verify_output(job, rows, ok, write):
+    """The ``verify`` report, as JSON or one line per row; bytes go to ``write``."""
     if job.fmt == "json":
         payload = {
             "type": job.type_name,
@@ -399,14 +381,15 @@ def _verify_output(job, rows, ok):
                        for name, good, wit in rows],
             "ok": ok,
         }
-        return (json.dumps(payload, indent=2) + "\n").encode()
+        write((json.dumps(payload, indent=2) + "\n").encode())
+        return
     width = max(len(name) for name, _, _ in rows)
     lines = [f"verification suite for {job.type_name}, weight {job.weight}"]
     for name, good, wit in rows:
         status = "PASS" if good else f"FAIL  witness: {wit}"
         lines.append(f"  {name:<{width}}  {status}")
     lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    return ("\n".join(lines) + "\n").encode()
+    write(("\n".join(lines) + "\n").encode())
 
 
 # -- driver ----------------------------------------------------------------
@@ -435,10 +418,15 @@ def _write(job, produce):
         raise
 
 
+class _Stderr(logging.StreamHandler):
+    """Writes each record to the ``sys.stderr`` of that moment; a stream set on it is ignored."""
+    stream = property(lambda self: sys.stderr, lambda self, stream: None)
+
+
 def _configure_logging():
     level = os.environ.get("CRYSTAL_LOG", "error").lower()
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(stream=sys.stderr, format="qcrystal %(levelname)s: %(message)s")
+    logging.basicConfig(handlers=[_Stderr()], format="qcrystal %(levelname)s: %(message)s")
     log.setLevel(levels.get(level, logging.ERROR))  # every call: basicConfig acts only once
     if level not in levels:
         log.error("unknown CRYSTAL_LOG value %r, using 'error'", level)
@@ -448,10 +436,10 @@ def _run(job):
     """(exit code, produce) for a validated job.
 
     Everything that can fail runs here, before any output is opened;
-    ``produce(write)`` then hands the output bytes to ``write``.  The
-    streamed emitters, ``emit_rank_one`` among them, run inside ``produce``;
-    the sl2 check runs once, here, and a violated relation exits 1 after its
-    table is written, as a failed ``verify`` does after its report.
+    ``produce(write)`` is an emitter with every argument but ``write`` bound,
+    and hands the output bytes to ``write``.  The sl2 check runs once, here,
+    and a violated relation exits 1 after its table is written, as a failed
+    ``verify`` does after its report.
     """
     if job.command == "rank-one":
         lam = job.weight[0]
@@ -460,18 +448,17 @@ def _run(job):
                                    f"above the cap of {job.max_elements}")
         ok, _ = verify_sl2_relation(RankOneModule(lam))
         code = EXIT_OK if ok else EXIT_VERIFY_FAILED
-        return code, functools.partial(emit_rank_one, lam, ok=ok)
+        return code, functools.partial(emit_rank_one, lam, ok)
     if job.command == "verify":
         rows, ok = run_verify(job)
-        data = _verify_output(job, rows, ok)
-        return EXIT_OK if ok else EXIT_VERIFY_FAILED, lambda write: write(data)
+        code = EXIT_OK if ok else EXIT_VERIFY_FAILED
+        return code, functools.partial(_verify_output, job, rows, ok)
     datum = cartan_datum(job.type_name)
     graph = generate_crystal(datum, job.weight, max_elements=job.max_elements)
     members = None if job.word is None else demazure.demazure_crystal(graph, job.word)
     if job.command == "character":
         chi = char_of(graph.all_ids() if members is None else members, graph)
-        data = emit_character(datum, job.weight, job.word, chi, job.fmt)
-        return EXIT_OK, lambda write: write(data)
+        return EXIT_OK, functools.partial(emit_character, datum, job.weight, job.word, chi, job.fmt)
     emitter = {"json": emit_json, "dot": emit_dot, "text": emit_text}[job.fmt]
     return EXIT_OK, functools.partial(emitter, graph, members)
 

@@ -205,11 +205,10 @@ class _Orbit:
     def __init__(self, datum, lam):
         points = [tuple(lam)]
         index = {points[0]: 0}
-        alphas = [simple_root(datum, i) for i in datum.indices()]
-        refl = [[] for _ in alphas]
+        refl = [[] for _ in datum.indices()]
         for mu in points:  # points grows behind the loop: breadth-first
-            for row, alpha, c in zip(refl, alphas, mu):
-                image = tuple(x - c * a for x, a in zip(mu, alpha))
+            for i, row in enumerate(refl, 1):
+                image = _step(datum, i, mu)
                 if image not in index:
                     index[image] = len(points)
                     points.append(image)

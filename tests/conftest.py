@@ -21,6 +21,13 @@ def graph_of():
     return _build
 
 
+def emitted(emit, *args):
+    """The bytes that ``emit(*args, write)`` hands to its ``write`` sink, joined."""
+    chunks = []
+    emit(*args, chunks.append)
+    return b"".join(chunks)
+
+
 def tampered(graph, edges=None, cls=qc.CrystalGraph, **rows):
     """A fresh ``cls`` graph built from ``graph``'s columns, with edits.
 

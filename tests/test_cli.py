@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from conftest import tampered
+from conftest import emitted, tampered
 from qcrystal import cli, crystal, rank_one
 from qcrystal.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                           EXIT_VERIFY_FAILED, EXIT_WRITE, emit_dot, emit_json,
@@ -99,21 +99,26 @@ def test_format_flags_each_command_ignores(tmp_path):
 
 def test_parse_args_usage_errors(capsys):
     cases = [
-        ["crystal", "--type", "A2", "--weight", "1"],          # length mismatch
-        ["crystal", "--type", "Q9", "--weight", "1"],          # unknown type
-        ["demazure", "--type", "A2", "--weight", "1,1"],       # missing word
-        ["demazure", "--type", "A2", "--weight", "1,1", "--word", "3"],  # bad letter
-        ["crystal", "--type", "A2", "--weight", "1,x"],        # not integers
-        ["crystal", "--type", "A2", "--weight=-1,0"],          # not dominant
-        ["crystal", "--type", "A2", "--weight", "1,1", "--max-elements", "0"],
-        ["crystal", "--type", "A2", "--weight", "1,1", "--max-elements", "-5"],
-        ["rank-one", "--weight", "3", "--max-elements", "0"],
+        (["crystal", "--type", "A2", "--weight", "1"], "--weight needs 2 coordinates for A2"),
+        (["crystal", "--type", "Q9", "--weight", "1"], "type Q9 is outside the supported table"),
+        (["demazure", "--type", "A2", "--weight", "1,1"], "demazure requires --word"),
+        (["demazure", "--type", "A2", "--weight", "1,1", "--word", "3"],
+         "--word letters must lie in 1..2"),
+        (["crystal", "--type", "A2", "--weight", "1,x"], "expected comma-separated integers"),
+        (["crystal", "--type", "A2", "--weight=-1,0"], "--weight must be dominant"),
+        (["crystal", "--type", "A2", "--weight", "1,1", "--max-elements", "0"],
+         "--max-elements must be positive, got 0"),
+        (["crystal", "--type", "A2", "--weight", "1,1", "--max-elements", "-5"],
+         "--max-elements must be positive, got -5"),
+        (["rank-one", "--weight", "3", "--max-elements", "0"], "--max-elements must be positive"),
+        (["rank-one", "--weight", "1,2"], "rank-one takes a single integer --weight"),
+        (["rank-one", "--weight=-1"], "rank-one highest weight must be nonnegative"),
     ]
-    for argv in cases:
+    for argv, message in cases:
         with pytest.raises(SystemExit) as err:
             parse_args(argv)
         assert err.value.code == EXIT_USAGE
-        assert capsys.readouterr().err
+        assert message in capsys.readouterr().err, argv
 
 
 def test_crystal_text_chain():
@@ -126,7 +131,7 @@ def test_crystal_text_chain():
 
 def test_json_schema(graph_of):
     graph = graph_of("A2", (1, 1))
-    payload = json.loads(emit_json(graph))
+    payload = json.loads(emitted(emit_json, graph, None))
     assert payload["family"] == "A" and payload["rank"] == 2
     assert payload["highest_weight"] == [1, 1]
     assert len(payload["elements"]) == 8
@@ -138,28 +143,28 @@ def test_json_schema(graph_of):
     assert "members" not in payload
 
     trivial = graph_of("A2", (0, 0))
-    payload = json.loads(emit_json(trivial))
+    payload = json.loads(emitted(emit_json, trivial, None))
     assert len(payload["elements"]) == 1 and payload["edges"] == []
 
     two = graph_of("A1", (1,))
-    payload = json.loads(emit_json(two))
+    payload = json.loads(emitted(emit_json, two, None))
     assert len(payload["elements"]) == 2
     assert payload["edges"] == [{"from": 0, "to": 1, "i": 1}]
 
 
 def test_json_members_field(graph_of):
     graph = graph_of("A2", (1, 1))
-    payload = json.loads(emit_json(graph, members={3, 0, 1}))
+    payload = json.loads(emitted(emit_json, graph, {3, 0, 1}))
     assert payload["members"] == [0, 1, 3]
 
 
 def test_dot_output(graph_of):
     graph = graph_of("A1", (1,))
-    text = emit_dot(graph).decode()
+    text = emitted(emit_dot, graph, None).decode()
     assert text.startswith("digraph crystal {")
     assert 'n0 [label="(1)"];' in text
     assert 'n0 -> n1 [label="1"];' in text
-    marked = emit_dot(graph, members={0}).decode()
+    marked = emitted(emit_dot, graph, {0}).decode()
     assert 'n0 [label="(1)", peripheries=2];' in marked
 
 
@@ -270,7 +275,8 @@ def test_rank_one_table_prints_the_computed_actions(monkeypatch):
 
     monkeypatch.setattr(cli, "act_f", doubled(cli.act_f))
     monkeypatch.setattr(cli, "act_e", doubled(cli.act_e))
-    out = cli.emit_rank_one(3).decode()
+    ok, _ = rank_one.verify_sl2_relation(rank_one.RankOneModule(3))
+    out = emitted(cli.emit_rank_one, 3, ok).decode()
     assert "f . f^(1)v = [2] f^(2)v = (2q + 2q^-1) f^(2)v" in out
     assert "e . f^(1)v = [3] f^(0)v = (2q^2 + 2 + 2q^-2) f^(0)v" in out
     assert "f . f^(3)v = 0" in out and "e . f^(0)v = 0" in out
@@ -434,6 +440,24 @@ def test_crystal_log_takes_effect_on_every_main_call(levels):
     phases = [sum(line.startswith("qcrystal INFO: verify phase ") for line in call.splitlines())
               for call in calls]
     assert phases == [5 if level == "info" else 0 for level in levels] + [0]
+
+
+def test_log_lines_follow_each_main_calls_stderr():
+    # A second main() under redirect_stderr logs to the redirect, as its error messages do,
+    # not to the stderr of the first call.
+    script = ("import contextlib, io, os\n"
+              "from qcrystal import cli\n"
+              "argv = ['verify', '--type', 'A1', '--weight', '1', '--out', os.devnull]\n"
+              "cli.main(argv)\n"
+              "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+              "    cli.main(argv)\n"
+              "print(err.getvalue(), end='')\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            env=dict(os.environ, CRYSTAL_LOG="info"))
+    assert result.returncode == 0, result.stderr
+    for stream in (result.stderr, result.stdout):
+        lines = stream.decode().splitlines()
+        assert len(lines) == 5 and all(line.startswith("qcrystal INFO: ") for line in lines)
 
 
 def test_main_direct_invocation(capsys):

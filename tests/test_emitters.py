@@ -11,11 +11,13 @@ import pytest
 
 import qcrystal as qc
 import emitter_reference
+from conftest import emitted
 from emitter_reference import (reference_dot, reference_json, reference_rank_one,
                                reference_text)
 from qcrystal import cli
 from qcrystal.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_WRITE,
                           emit_dot, emit_json, emit_rank_one, emit_text, main)
+from qcrystal.rank_one import RankOneModule, verify_sl2_relation
 
 EMITTERS = ((emit_json, reference_json), (emit_dot, reference_dot),
             (emit_text, reference_text))
@@ -36,7 +38,6 @@ def test_streamed_emitters_match_reference(graph_of):
     for graph, members in _cases(graph_of):
         for emit, reference in EMITTERS:
             expected = reference(graph, members)
-            assert emit(graph, members) == expected, (emit.__name__, graph.datum.name)
             chunks = []
             assert emit(graph, members, chunks.append) is None
             assert b"".join(chunks) == expected, (emit.__name__, graph.datum.name)
@@ -82,7 +83,7 @@ def test_stdout_without_a_byte_buffer(graph_of):
     for fmt, emit in (("json", emit_json), ("text", emit_text)):
         with contextlib.redirect_stdout(io.StringIO()) as captured:
             assert main(["crystal", "--type", "G2", "--weight", "3,3", "--format", fmt]) == EXIT_OK
-        assert captured.getvalue() == emit(graph_of("G2", (3, 3))).decode(), fmt
+        assert captured.getvalue() == emitted(emit, graph_of("G2", (3, 3)), None).decode(), fmt
 
 
 def test_reader_closing_stdout_early_is_a_write_failure():
@@ -134,9 +135,15 @@ def test_export_peak_memory_stays_near_generation(tmp_path):
 
 # -- the rank-one table ---------------------------------------------------
 
+def _table(lam):
+    """The rank-one table of V(lam), with the sl2 verdict that ``main`` passes."""
+    ok, _ = verify_sl2_relation(RankOneModule(lam))
+    return emitted(emit_rank_one, lam, ok)
+
+
 @pytest.mark.parametrize("lam", [*range(61), 400])
 def test_rank_one_table_matches_reference(lam):
-    assert emit_rank_one(lam) == reference_rank_one(lam)
+    assert _table(lam) == reference_rank_one(lam)
 
 
 def test_rank_one_e_line_prints_its_own_image(monkeypatch):
@@ -150,7 +157,7 @@ def test_rank_one_e_line_prints_its_own_image(monkeypatch):
 
     for module in (cli, emitter_reference):
         monkeypatch.setattr(module, "act_e", off_at_4)
-    out = emit_rank_one(7)
+    out = _table(7)
     assert out == reference_rank_one(7)
     lines = out.decode().splitlines()
     assert "  f . f^(3)v = [4] f^(4)v = (q^3 + q + q^-1 + q^-3) f^(4)v" in lines
@@ -160,8 +167,9 @@ def test_rank_one_e_line_prints_its_own_image(monkeypatch):
 
 @pytest.mark.parametrize("lam", [0, 1, 2, 7, 40, 200])
 def test_streamed_rank_one_table_matches_reference(lam):
+    ok, _ = verify_sl2_relation(RankOneModule(lam))
     chunks = []
-    assert emit_rank_one(lam, chunks.append) is None
+    assert emit_rank_one(lam, ok, chunks.append) is None
     assert b"".join(chunks) == reference_rank_one(lam)
 
 
@@ -169,19 +177,15 @@ def test_rank_one_table_streams_in_less_than_its_length():
     # The sl2 check runs first; then each line is written as it is made and
     # only the e-line texts are held, so the traced peak stays below the
     # output's length.  Building the whole table first took it to 3 times that.
-    emit_rank_one(10)
-    size = len(emit_rank_one(400))
+    _table(10)
+    size = len(_table(400))
     chunks = []
-    peak = _traced_peak(lambda: emit_rank_one(400, lambda chunk: chunks.append(len(chunk))))
+
+    def job():
+        ok, _ = verify_sl2_relation(RankOneModule(400))
+        emit_rank_one(400, ok, lambda chunk: chunks.append(len(chunk)))
+
+    peak = _traced_peak(job)
     assert sum(chunks) == size
     assert peak < size, peak / size
     assert len(chunks) > 10 and max(chunks) < cli._CHUNK_CHARS + 4096
-
-
-def test_rank_one_table_peak_memory_is_about_three_outputs():
-    # Returned whole, the table is held as its chunks and their join, twice
-    # over; nothing else of that size (such as a memo of rendered
-    # coefficients keyed by polynomial) may stay alive during the job.
-    emit_rank_one(10)
-    out = emit_rank_one(200)
-    assert _traced_peak(lambda: emit_rank_one(200)) <= 4 * len(out)

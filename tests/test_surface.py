@@ -5,7 +5,9 @@ public attributes of a generated ``CrystalGraph``, whose columns are the
 one way to read an element: each addition or removal is a deliberate edit
 here.  The library imports only the standard library and its own modules:
 no test reference under ``tests/`` may be imported from ``src/``, as each
-reference's docstring says.
+reference's docstring says.  The oracles (``character``, ``demazure``,
+``qarith``, ``rank_one`` and ``sparse``) never import, even through one
+another, the path model in ``crystal`` or the ``cli``.
 """
 
 import ast
@@ -73,3 +75,28 @@ def test_source_imports_only_the_standard_library_and_itself():
                 for line, module in _absolute_imports(path)]
     assert [found for found in imported if found[2] in references] == []
     assert [found for found in imported if found[2] not in sys.stdlib_module_names] == []
+
+
+def _relative_imports(path):
+    """The sibling modules that one source file imports relatively."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module.partition(".")[0]
+            else:  # from . import demazure
+                yield from (alias.name for alias in node.names)
+
+
+def test_oracles_never_reach_the_path_model_or_the_cli():
+    # The character, Demazure and rank-one oracles check what the path model in
+    # crystal builds, so no chain of their imports may lead there.  Read from the
+    # source: importing any submodule runs qcrystal/__init__, which imports crystal.
+    oracles = ("character", "demazure", "qarith", "rank_one", "sparse")
+    reached, pending = set(), list(oracles)
+    while pending:
+        module = pending.pop()
+        if module not in reached:
+            reached.add(module)
+            pending.extend(_relative_imports(SOURCE / f"{module}.py"))
+    assert reached & {"crystal", "cli"} == set(), sorted(reached)
+    assert reached == {*oracles, "root_data"}

@@ -23,8 +23,8 @@ import qcrystal
 from qcrystal import cli, crystal, root_data
 from qcrystal.qarith import LaurentPoly, one
 from qcrystal.root_data import (_coset_words, _Orbit, cartan_datum, is_reduced,
-                                longest_word, positive_roots, rho, supported_types,
-                                weyl_group, weyl_orbit, weyl_order)
+                                longest_word, positive_roots, rho, simple_root,
+                                supported_types, weyl_group, weyl_orbit, weyl_order)
 
 TYPES = supported_types()
 
@@ -92,6 +92,27 @@ def test_orbit_index_order_is_length_order(name):
     lengths = [len(w) for w in words]
     assert lengths == sorted(lengths)
     assert len(words) == len(orbit.points) == len(set(words))
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_orbit_tables_match_the_simple_root_rule(name):
+    # _Orbit reflects through root_data._step; this search applies
+    # s_i(mu) = mu - <mu, h_i> alpha_i over the simple roots, sharing no code with it
+    datum = cartan_datum(name)
+    alphas = [simple_root(datum, i) for i in datum.indices()]
+    n = datum.rank
+    for lam in [rho(datum), *(tuple(int(j == k) for j in range(n)) for k in range(n))]:
+        points, index, refl = [lam], {lam: 0}, [[] for _ in alphas]
+        for mu in points:
+            for row, alpha, c in zip(refl, alphas, mu):
+                image = tuple(x - c * a for x, a in zip(mu, alpha))
+                if image not in index:
+                    index[image] = len(points)
+                    points.append(image)
+                row.append(index[image])
+        orbit = _Orbit(datum, lam)
+        assert (orbit.points, orbit.index, orbit.refl) == (points, index, refl), lam
+        assert orbit.pair == [[mu[i0] for mu in points] for i0 in range(n)], lam
 
 
 def test_the_path_kernel_reads_the_same_orbit_search():
